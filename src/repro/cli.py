@@ -204,15 +204,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "address is printed to stderr as transport://host:port)",
     )
     serve.add_argument(
-        "--coalesce-us", type=float, default=250.0,
-        help="tcp/http: coalescing window in microseconds — requests "
-        "from different connections arriving within it are folded into "
-        "one executor batch (0 flushes every event-loop turn)",
-    )
-    serve.add_argument(
         "--max-batch", type=int, default=1024,
         help="tcp/http: max requests folded into one executor call "
-        "(a full window dispatches immediately)",
+        "(requests arriving while a batch executes form the next one)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=4096,
@@ -523,7 +517,6 @@ def _serve_network(app, args: argparse.Namespace, mode: str) -> None:
             host=args.host,
             port=args.port,
             transport=args.transport,
-            coalesce_us=args.coalesce_us,
             max_batch=args.max_batch,
             max_pending=args.max_pending,
             hard_pending=args.hard_pending,
@@ -549,7 +542,7 @@ def _serve_network(app, args: argparse.Namespace, mode: str) -> None:
         print(
             f"serving {app.n:,}-node oracle ({mode}) on "
             f"{server.transport}://{server.host}:{server.port} "
-            f"(coalesce {args.coalesce_us:g} us, max-batch {args.max_batch}, "
+            f"(max-batch {args.max_batch}, "
             f"soft {server.coalescer.soft_limit} / hard {server.coalescer.hard_limit})",
             file=sys.stderr,
             flush=True,

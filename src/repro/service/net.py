@@ -4,14 +4,15 @@
 turns the same :class:`~repro.service.server.ServiceApp` into a network
 service many concurrent clients can hit, built around three ideas:
 
-* **coalescing** (:class:`Coalescer`): requests arriving within a
-  configurable window — or until a max-batch threshold — are folded
-  into a *single* :meth:`BatchExecutor.run
-  <repro.service.batch.BatchExecutor.run>` call, regardless of which
-  connection they came from.  Cross-client traffic therefore gets the
-  executor's dedup/symmetry folding and the flat engine's fused batch
-  kernels for free; responses are demultiplexed back to each
-  connection in that connection's request order.
+* **coalescing** (:class:`Coalescer`): a request arriving at an idle
+  server dispatches on the next event-loop turn; requests arriving
+  while a batch executes are folded into the *next* single
+  :meth:`BatchExecutor.run <repro.service.batch.BatchExecutor.run>`
+  call (up to a max-batch threshold), regardless of which connection
+  they came from.  Cross-client traffic therefore gets the executor's
+  dedup/symmetry folding and the flat engine's fused batch kernels for
+  free; responses are demultiplexed back to each connection in that
+  connection's request order.
 * **admission control + backpressure**: the pending queue is bounded.
   Past the *soft* limit new requests are answered immediately with
   ``{"error": "overloaded", "retry_after_ms": ...}`` — or, in degrade
@@ -21,10 +22,9 @@ service many concurrent clients can hit, built around three ideas:
   TCP itself pushes back on senders.
 * **deadlines + SLO control** (:mod:`repro.service.slo`): a request
   may carry ``deadline_ms`` (or ``X-Deadline-Ms`` over HTTP); the
-  budget threads through the coalescer (which flushes early rather
-  than let the window blow the tightest deadline), the executor, and
-  the shard coordinator's waits.  A request predicted — or observed —
-  to miss its deadline walks the degrade ladder (``exact`` →
+  budget threads through the coalescer, the executor, and the shard
+  coordinator's waits.  A request predicted — or observed — to miss
+  its deadline walks the degrade ladder (``exact`` →
   ``estimate`` → shed with ``retry_after_ms``) instead of returning
   late, and an optional AIMD limiter adapts the soft admission limit
   to the measured deadline hit rate.
@@ -67,19 +67,17 @@ from repro.service.server import ServiceApp, encode_result
 from repro.service.slo import Deadline, SloConfig, SloController
 from repro.service.telemetry import LatencyHistogram
 
-#: Default coalescing window in microseconds.
-DEFAULT_WINDOW_US = 250.0
 #: Default max requests folded into one executor call.
 DEFAULT_MAX_BATCH = 1024
 #: Default soft admission limit (pending + in-flight requests).
 DEFAULT_MAX_PENDING = 4096
 
-#: Floor for the suggested client backoff.  A sub-millisecond coalescing
-#: window or a cold latency EWMA would otherwise suggest 1–2 ms retries,
-#: which under overload is an instruction to stampede: thousands of
-#: clients re-arrive inside the same congestion window that rejected
-#: them.  25 ms is still far below human-visible latency but long
-#: enough for a drained queue to actually drain.
+#: Floor for the suggested client backoff.  A cold or tiny latency EWMA
+#: would otherwise suggest 0–2 ms retries, which under overload is an
+#: instruction to stampede: thousands of clients re-arrive inside the
+#: same congestion window that rejected them.  25 ms is still far below
+#: human-visible latency but long enough for a drained queue to
+#: actually drain.
 RETRY_AFTER_FLOOR_MS = 25
 
 #: Sentinel closing a connection's response queue.
@@ -227,8 +225,7 @@ class NetStats:
     is needed.  The queue-wait histogram measures enqueue-to-dispatch
     time, the service-time histogram the per-request share of each
     batch's execution — together they split observed latency into
-    "waiting to coalesce" vs "being answered", the knob-tuning signal
-    for ``coalesce_us`` and ``max_batch``.
+    "waiting behind a batch" vs "being answered".
     """
 
     def __init__(self, reservoir: int = 8192, clock=time.monotonic) -> None:
@@ -344,13 +341,8 @@ class Coalescer:
         runner: ``runner(pairs, with_path) -> list[QueryResult]`` — in
             production a closure over the server's *current* app, so a
             hot reload redirects every flush after the swap.
-        window_us: coalescing window in microseconds, measured from the
-            first request entering an empty queue; ``0`` flushes on the
-            next event-loop turn, ``None`` disables automatic flushing
-            entirely (manual mode — tests drive :meth:`flush` to get
-            deterministic windows).
-        max_batch: requests per executor call; a full window dispatches
-            immediately, and larger drains are chunked to this size.
+        max_batch: requests per executor call; larger drains are
+            chunked to this size.
         soft_limit: pending + in-flight requests beyond which
             :meth:`offer` rejects (the caller answers "overloaded").
         hard_limit: depth beyond which :meth:`wait_admittable` blocks —
@@ -358,29 +350,28 @@ class Coalescer:
             stop being drained and TCP pushes back.  Defaults to
             ``4 * soft_limit``.
         stats: optional :class:`NetStats` receiving queue/flush metrics.
-        slo: optional :class:`SloController`.  When present, deadlined
-            requests are tracked (the window flushes *early* when the
-            tightest pending deadline could not survive a full window
-            plus the predicted execute tail), per-stage timings feed
-            its predictor, expired requests are peeled off before
-            dispatch, and — when its adaptive limiter is enabled — the
-            soft admission limit follows the AIMD limit instead of the
-            static ``soft_limit``.
+        slo: optional :class:`SloController`.  When present, per-stage
+            timings feed its predictor, expired requests are peeled off
+            before dispatch, and — when its adaptive limiter is enabled
+            — the soft admission limit follows the AIMD limit instead
+            of the static ``soft_limit``.
         clock: monotonic time source (injectable for tests).
 
-    Dispatch runs on a single worker thread (``run_in_executor``), so
-    the event loop keeps accepting and coalescing *while* a batch
-    executes — under sustained load the next batch is whatever arrived
-    during the previous one, which is exactly the adaptive batching
-    the fused kernels want.  The dispatch lock serialises batches and
-    is the reload synchronisation point.
+    There is no coalescing timer: a request admitted while nothing is
+    dispatching starts a flush on the next event-loop turn.  Dispatch
+    runs on a single worker thread (``run_in_executor``), so the event
+    loop keeps accepting *while* a batch executes, and the flush loop
+    picks up whatever arrived meanwhile as its next batch — under
+    sustained load that is exactly the adaptive batching the fused
+    kernels want, and an idle server pays no wait for a batch that
+    never forms.  The dispatch lock serialises batches and is the
+    reload synchronisation point.
     """
 
     def __init__(
         self,
         runner: Callable,
         *,
-        window_us: Optional[float] = DEFAULT_WINDOW_US,
         max_batch: int = DEFAULT_MAX_BATCH,
         soft_limit: int = DEFAULT_MAX_PENDING,
         hard_limit: int = 0,
@@ -395,7 +386,6 @@ class Coalescer:
         if hard_limit and hard_limit < soft_limit:
             raise QueryError("hard_limit must be >= soft_limit")
         self.runner = runner
-        self.window_us = window_us
         self.max_batch = max_batch
         self.soft_limit = soft_limit
         self.hard_limit = hard_limit or 4 * soft_limit
@@ -403,13 +393,11 @@ class Coalescer:
         self.slo = slo
         self.clock = clock
         self._runner_takes_budget = _accepts_budget(runner)
-        self._tightest: Optional[float] = None
         self._pending: list[_Request] = []
         self._in_flight = 0
         self._lock = asyncio.Lock()
         self._gate = asyncio.Event()
         self._gate.set()
-        self._burst = asyncio.Event()
         self._flusher: Optional[asyncio.Task] = None
         self._ewma_item_s = 0.0
         self._pool = None  # created lazily on the serving loop
@@ -452,10 +440,6 @@ class Coalescer:
                 _Request(s, t, with_path, future, now, conn, deadline)
             )
             futures.append(future)
-        if deadline is not None and (
-            self._tightest is None or deadline.expires_at < self._tightest
-        ):
-            self._tightest = deadline.expires_at
         if self.stats is not None:
             self.stats.observe_depth(self.depth)
         self._update_gate()
@@ -481,14 +465,10 @@ class Coalescer:
         Clamped to ``[RETRY_AFTER_FLOOR_MS, 5000]``: the estimate tracks
         how long the current queue takes to drain, but never tells
         clients to hammer a rejecting server at millisecond cadence.
+        Cold (no batch timed yet) it is the floor.
         """
-        per_item = self._ewma_item_s
-        if per_item <= 0:
-            window_ms = (self.window_us or DEFAULT_WINDOW_US) / 1e3
-            return max(RETRY_AFTER_FLOOR_MS, int(2 * window_ms))
-        return min(
-            5000, max(RETRY_AFTER_FLOOR_MS, int(self.depth * per_item * 1e3))
-        )
+        drain_ms = int(self.depth * self._ewma_item_s * 1e3)
+        return min(5000, max(RETRY_AFTER_FLOOR_MS, drain_ms))
 
     async def wait_admittable(self) -> None:
         """Block while the queue is past the hard limit (socket backpressure)."""
@@ -504,53 +484,17 @@ class Coalescer:
 
     # -- flushing ----------------------------------------------------------
     def _schedule_flush(self) -> None:
-        if self.window_us is None:
-            return  # manual mode: tests call flush() themselves
+        # One flush task at a time: while it runs, its loop drains
+        # whatever is admitted behind the executing batch.
         if self._flusher is None or self._flusher.done():
-            self._burst = asyncio.Event()
-            self._flusher = asyncio.create_task(self._window_flush())
-        self._maybe_burst()
-
-    def _maybe_burst(self) -> None:
-        """Fire the burst event when the queue cannot wait out the window."""
-        if self._burst.is_set():
-            return
-        if len(self._pending) >= self.max_batch:
-            self._burst.set()
-        elif self._deadline_burst():
-            self._burst.set()
-            if self.slo is not None:
-                self.slo.note_early_flush()
-
-    def _deadline_burst(self) -> bool:
-        """Would a full coalescing window blow the tightest pending deadline?
-
-        The spare time of the tightest deadline is its remaining budget
-        minus the predicted execute tail; when that spare no longer
-        covers the window, waiting is guaranteed lateness and the batch
-        dispatches with whatever has coalesced so far.
-        """
-        if self._tightest is None:
-            return False
-        window_s = (self.window_us or 0.0) / 1e6
-        tail = self.slo.predictor.execute_tail_s() if self.slo is not None else 0.0
-        return (self._tightest - self.clock()) - tail < window_s
-
-    async def _window_flush(self) -> None:
-        window_s = (self.window_us or 0.0) / 1e6
-        if window_s > 0 and not self._burst.is_set():
-            try:
-                await asyncio.wait_for(self._burst.wait(), window_s)
-            except (asyncio.TimeoutError, TimeoutError):
-                pass  # window elapsed with no burst: flush what arrived
-        await self.flush()
+            self._flusher = asyncio.create_task(self.flush())
 
     async def flush(self) -> int:
         """Dispatch everything pending (chunked); returns requests answered.
 
         Requests arriving *while* a chunk executes are drained by the
-        same call, so under load the loop degenerates into back-to-back
-        maximal batches with no window delay at all.
+        same call, so under load the loop runs back-to-back batches of
+        whatever accumulated behind the previous one.
         """
         answered = 0
         while self._pending:
@@ -559,14 +503,6 @@ class Coalescer:
                 if not batch:  # lost the race to a concurrent flush
                     break
                 del self._pending[: len(batch)]
-                self._tightest = min(
-                    (
-                        r.deadline.expires_at
-                        for r in self._pending
-                        if r.deadline is not None
-                    ),
-                    default=None,
-                )
                 self._in_flight += len(batch)
                 try:
                     await self._dispatch(batch)
@@ -588,8 +524,6 @@ class Coalescer:
         if slo is not None:
             for wait in waits:
                 slo.observe_stage("queue", wait)
-            if waits:
-                slo.observe_stage("coalesce", max(waits))
         # A request whose deadline already expired never reaches the
         # backend: its future resolves to a _DeadlineMiss and the server
         # walks the degrade ladder instead of computing a late answer.
@@ -628,6 +562,7 @@ class Coalescer:
                 results = [_BatchError(exc)] * len(lane)
             t1 = self.clock()
             if slo is not None:
+                slo.observe_stage("execute", t1 - t0)
                 slo.observe_execute(t1 - t0, len(lane))
             for request, result in zip(lane, results):
                 if not request.future.done():
@@ -650,15 +585,13 @@ class Coalescer:
         return self._lock
 
     async def close(self) -> None:
-        """Flush what remains, stop the window task, release the thread."""
+        """Answer what remains, then release the dispatch thread."""
         self._closed = True
         await self.flush()
-        if self._flusher is not None and not self._flusher.done():
-            self._flusher.cancel()
-            try:
-                await self._flusher
-            except asyncio.CancelledError:
-                pass
+        if self._flusher is not None:
+            # Never cancel it: it may own an executing batch whose
+            # futures its requests' connections are still awaiting.
+            await self._flusher
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
@@ -684,7 +617,7 @@ class NetServer:
             :meth:`start`).
         transport: ``"tcp"`` (newline-delimited JSON) or ``"http"``
             (``POST /query`` / ``GET /stats`` framing on the same core).
-        coalesce_us / max_batch / max_pending / hard_pending: the
+        max_batch / max_pending / hard_pending: the
             :class:`Coalescer` knobs (``hard_pending`` 0 defaults to
             ``4 * max_pending``).
         degrade: past the soft limit, answer distance-only queries from
@@ -716,7 +649,6 @@ class NetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         transport: str = "tcp",
-        coalesce_us: Optional[float] = DEFAULT_WINDOW_US,
         max_batch: int = DEFAULT_MAX_BATCH,
         max_pending: int = DEFAULT_MAX_PENDING,
         hard_pending: int = 0,
@@ -748,7 +680,6 @@ class NetServer:
         )
         self.coalescer = Coalescer(
             self._run_batch,
-            window_us=coalesce_us,
             max_batch=max_batch,
             soft_limit=max_pending,
             hard_limit=hard_pending,
@@ -815,7 +746,6 @@ class NetServer:
             "soft_limit": self.coalescer.soft_limit,
             "soft_limit_now": self.coalescer.soft_limit_now(),
             "hard_limit": self.coalescer.hard_limit,
-            "coalesce_us": self.coalescer.window_us,
             "max_batch": self.coalescer.max_batch,
         }
         net = self.stats.snapshot(queue=queue)
@@ -856,7 +786,7 @@ class NetServer:
     def _route_request(self, conn: ConnStats, request) -> tuple[_Payload, bool]:
         """Route one decoded request object; returns ``(payload, keep)``.
 
-        Admission (and therefore the coalescing clock) happens *here*,
+        Admission (and therefore the queue-wait clock) happens *here*,
         at read time; only the response wait is deferred.  Commands
         return callables/coroutines evaluated at write time, so their
         effects and views order after the connection's earlier

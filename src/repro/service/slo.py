@@ -40,7 +40,7 @@ from repro.service.telemetry import LatencyHistogram
 
 #: Pipeline stages a request's budget is spent in, in order.  Stage
 #: EWMAs and per-stage deadline-miss counters are keyed by these names.
-STAGES = ("queue", "coalesce", "dispatch", "execute", "collect")
+STAGES = ("queue", "dispatch", "execute", "collect")
 
 #: Every rung the degrade ladder may contain, in severity order.
 LADDER_RUNGS = ("exact", "estimate", "shed")
@@ -298,7 +298,7 @@ class SloController:
     """Per-server deadline accounting, prediction and ladder policy.
 
     Owned by the network front end; the coalescer holds a reference for
-    early-flush decisions and the adaptive soft limit.  Single-threaded
+    stage accounting and the adaptive soft limit.  Single-threaded
     by design (all mutation happens on the event loop; the timed
     dispatch wrapper only *reads* the clock from the executor thread).
     """
@@ -332,7 +332,6 @@ class SloController:
         self.deadline_requests = 0
         self.deadline_hits = 0
         self.deadline_misses = 0
-        self.early_flushes = 0
         self.probes = 0
         self._miss_streak = 0
 
@@ -400,9 +399,6 @@ class SloController:
     def note_stage_miss(self, stage: str) -> None:
         self.stage_misses[stage] += 1
 
-    def note_early_flush(self) -> None:
-        self.early_flushes += 1
-
     def observe_execute(self, elapsed_s: float, items: int) -> None:
         self.predictor.observe_execute(elapsed_s, items)
 
@@ -450,7 +446,6 @@ class SloController:
             "ladder": {
                 "rungs": list(self.config.ladder),
                 "taken": dict(self.rungs),
-                "early_flushes": self.early_flushes,
             },
             "stages_ms": {
                 stage: self.stage_ewma_s[stage] * 1e3 for stage in STAGES

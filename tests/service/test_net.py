@@ -3,13 +3,14 @@
 No pytest-asyncio here: every test is a plain function running its
 coroutine through ``asyncio.run`` (wrapped in a watchdog timeout so a
 deadlock fails instead of hanging the suite).  Determinism comes from
-the coalescer's *manual* mode — ``coalesce_us=None`` disables the
-automatic window entirely, so tests decide exactly when a flush
-happens and what has accumulated by then.
+:func:`manual`, which turns off the coalescer's dispatch-on-arrival on
+one instance, so tests decide exactly when a flush happens and what has
+accumulated by then.
 """
 
 import asyncio
 import json
+import threading
 
 import pytest
 
@@ -56,6 +57,12 @@ async def eventually(predicate, timeout=5.0):
         await asyncio.sleep(0.001)
 
 
+def manual(coalescer):
+    """Turn off dispatch-on-arrival: the test decides when flush() runs."""
+    coalescer._schedule_flush = lambda: None
+    return coalescer
+
+
 async def send(writer, obj):
     writer.write(json.dumps(obj).encode() + b"\n")
     await writer.drain()
@@ -68,11 +75,12 @@ async def recv(reader):
 
 
 class _ManualServer:
-    """A started NetServer in manual-flush mode plus client plumbing."""
+    """A started NetServer (manual flush unless told otherwise) plus clients."""
 
-    def __init__(self, app, **kwargs):
-        kwargs.setdefault("coalesce_us", None)
+    def __init__(self, app, *, manual_flush=True, **kwargs):
         self.server = NetServer(app, port=0, **kwargs)
+        if manual_flush:
+            manual(self.server.coalescer)
         self._conns = []
 
     async def __aenter__(self):
@@ -106,7 +114,7 @@ class TestCoalescer:
 
         async def scenario():
             stats = NetStats()
-            coalescer = Coalescer(runner, window_us=None, stats=stats)
+            coalescer = manual(Coalescer(runner, stats=stats))
             conn_a, conn_b = object(), object()
             f1 = coalescer.offer(0, 5, conn=conn_a)
             f2 = coalescer.offer(5, 0, conn=conn_b)  # mirrored cross-client
@@ -134,7 +142,7 @@ class TestCoalescer:
             return app.executor.run(pairs, with_path=with_path)
 
         async def scenario():
-            coalescer = Coalescer(runner, window_us=None, max_batch=2)
+            coalescer = manual(Coalescer(runner, max_batch=2))
             futures = coalescer.offer_many([(0, i) for i in range(1, 6)])
             answered = await coalescer.flush()
             await coalescer.close()
@@ -153,7 +161,7 @@ class TestCoalescer:
             return app.executor.run(pairs, with_path=with_path)
 
         async def scenario():
-            coalescer = Coalescer(runner, window_us=None)
+            coalescer = manual(Coalescer(runner))
             plain = coalescer.offer(0, 5)
             pathy = coalescer.offer(0, 9, with_path=True)
             await coalescer.flush()
@@ -167,8 +175,8 @@ class TestCoalescer:
 
     def test_soft_limit_rejects_and_batch_admission_is_atomic(self):
         async def scenario():
-            coalescer = Coalescer(
-                lambda pairs, wp: [], window_us=None, soft_limit=2
+            coalescer = manual(
+                Coalescer(lambda pairs, wp: [], soft_limit=2)
             )
             assert coalescer.offer(0, 1) is not None
             # Admitting this 2-pair batch would overflow: all-or-nothing.
@@ -183,12 +191,11 @@ class TestCoalescer:
 
     def test_hard_limit_gate_blocks_until_flush(self, app):
         async def scenario():
-            coalescer = Coalescer(
+            coalescer = manual(Coalescer(
                 lambda pairs, wp: app.executor.run(pairs, with_path=wp),
-                window_us=None,
                 soft_limit=4,
                 hard_limit=4,
-            )
+            ))
             futures = coalescer.offer_many([(0, i) for i in range(1, 5)])
             waiter = asyncio.create_task(coalescer.wait_admittable())
             await asyncio.sleep(0.01)
@@ -205,7 +212,7 @@ class TestCoalescer:
             raise RuntimeError("backend down")
 
         async def scenario():
-            coalescer = Coalescer(runner, window_us=None)
+            coalescer = manual(Coalescer(runner))
             futures = coalescer.offer_many([(0, 1), (0, 2)])
             await coalescer.flush()
             await coalescer.close()
@@ -214,11 +221,10 @@ class TestCoalescer:
         markers = sync(scenario())
         assert all(str(m.exc) == "backend down" for m in markers)
 
-    def test_auto_window_flushes_without_manual_drive(self, app):
+    def test_lone_request_answers_without_manual_drive(self, app):
         async def scenario():
             coalescer = Coalescer(
-                lambda pairs, wp: app.executor.run(pairs, with_path=wp),
-                window_us=500.0,
+                lambda pairs, wp: app.executor.run(pairs, with_path=wp)
             )
             future = coalescer.offer(0, 5)
             result = await asyncio.wait_for(future, 5)
@@ -226,6 +232,35 @@ class TestCoalescer:
             return result
 
         assert sync(scenario()).distance is not None
+
+    def test_idle_request_dispatches_alone_and_busy_arrivals_coalesce(self):
+        """Nothing in flight: dispatch next turn.  Busy: queue behind it."""
+        calls = []
+        release = threading.Event()
+
+        def runner(pairs, with_path):
+            calls.append(list(pairs))
+            release.wait(10)
+            return [None] * len(pairs)
+
+        async def scenario():
+            coalescer = Coalescer(runner)
+            a = coalescer.offer(0, 1)
+            await asyncio.sleep(0)  # one loop turn, far below any timer
+            assert coalescer._in_flight == 1 and coalescer.depth == 1
+            b = coalescer.offer(0, 2)
+            c = coalescer.offer(0, 3)
+            await asyncio.sleep(0.01)
+            assert coalescer._in_flight == 1  # B and C wait behind A
+            release.set()
+            await asyncio.gather(a, b, c)
+            await coalescer.close()
+
+        try:
+            sync(scenario())
+        finally:
+            release.set()
+        assert calls == [[(0, 1)], [(0, 2), (0, 3)]]
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +271,7 @@ class TestTcpServing:
         oracle = VicinityOracle(index)
 
         async def scenario():
-            async with _ManualServer(app, coalesce_us=250.0) as harness:
+            async with _ManualServer(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 await send(writer, {"s": 0, "t": 5})
                 await send(writer, {"pairs": [[0, 5], [5, 0], [3, 3]]})
@@ -304,7 +339,7 @@ class TestTcpServing:
 
     def test_malformed_requests_answer_errors_and_keep_serving(self, app):
         async def scenario():
-            async with _ManualServer(app, coalesce_us=250.0) as harness:
+            async with _ManualServer(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 writer.write(b"this is not json\n")
                 await send(writer, {"cmd": "no-such-command"})
@@ -473,7 +508,7 @@ class TestReload:
 
         async def scenario():
             app = ServiceApp.from_saved(path, mmap=True)
-            async with _ManualServer(app, coalesce_us=250.0) as harness:
+            async with _ManualServer(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 await send(
                     writer, {"cmd": "reload", "path": str(tmp_path / "nope")}
@@ -492,7 +527,7 @@ class TestReload:
 
     def test_reload_requires_a_path(self, app):
         async def scenario():
-            async with _ManualServer(app, coalesce_us=250.0) as harness:
+            async with _ManualServer(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 await send(writer, {"cmd": "reload"})
                 return await recv(reader)
@@ -531,11 +566,10 @@ class TestHttpServing:
         oracle = VicinityOracle(index)
 
         async def scenario():
-            # coalesce_us=0 flushes every event-loop turn: HTTP is
-            # sequential per connection, so nothing would drive a
-            # manual flush between exchanges.
+            # HTTP is sequential per connection, so nothing would
+            # drive a manual flush between exchanges.
             async with _ManualServer(
-                app, transport="http", coalesce_us=0.0
+                app, transport="http", manual_flush=False
             ) as harness:
                 reader, writer = await harness.connect()
                 exchanges = [
@@ -562,7 +596,7 @@ class TestHttpServing:
     def test_routing_and_error_statuses(self, app):
         async def scenario():
             async with _ManualServer(
-                app, transport="http", coalesce_us=0.0
+                app, transport="http", manual_flush=False
             ) as harness:
                 reader, writer = await harness.connect()
                 exchanges = [
@@ -583,7 +617,7 @@ class TestHttpServing:
     def test_connection_close_is_honoured(self, app):
         async def scenario():
             async with _ManualServer(
-                app, transport="http", coalesce_us=0.0
+                app, transport="http", manual_flush=False
             ) as harness:
                 reader, writer = await harness.connect()
                 status, headers, body = await _http_exchange(
@@ -639,7 +673,7 @@ class TestSnapshotShape:
 
     def test_net_snapshot_is_purely_additive(self, app):
         async def scenario():
-            async with _ManualServer(app, coalesce_us=250.0) as harness:
+            async with _ManualServer(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 await send(writer, {"s": 0, "t": 5})
                 await recv(reader)
@@ -661,7 +695,7 @@ class TestSnapshotShape:
 
     def test_render_snapshot_with_and_without_net(self, app):
         async def scenario():
-            async with _ManualServer(app, coalesce_us=250.0) as harness:
+            async with _ManualServer(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 await send(writer, {"s": 0, "t": 5})
                 await recv(reader)

@@ -3,8 +3,8 @@
 The deterministic core (deadlines, the completion predictor, the AIMD
 limiter, the ladder walk) runs against a fake clock — no sleeps, no
 timing races.  The network-level tests reuse the manual-flush idiom of
-``test_net.py``: ``coalesce_us=None`` disables the window so the test
-decides exactly when dispatch happens.
+``test_net.py``: :func:`manual` turns off dispatch-on-arrival so the
+test decides exactly when dispatch happens.
 
 The regression guard at the bottom pins the tentpole's compatibility
 contract: a request that carries no deadline — on a server given no
@@ -67,6 +67,12 @@ async def recv(reader):
     return json.loads(line)
 
 
+def manual(coalescer):
+    """Turn off dispatch-on-arrival: the test decides when flush() runs."""
+    coalescer._schedule_flush = lambda: None
+    return coalescer
+
+
 class FakeClock:
     def __init__(self, now=100.0):
         self.now = now
@@ -79,11 +85,12 @@ class FakeClock:
 
 
 class _Server:
-    """A started NetServer in manual-flush mode plus client plumbing."""
+    """A started NetServer (manual flush unless told otherwise) plus clients."""
 
-    def __init__(self, app, **kwargs):
-        kwargs.setdefault("coalesce_us", None)
+    def __init__(self, app, *, manual_flush=True, **kwargs):
         self.server = NetServer(app, port=0, **kwargs)
+        if manual_flush:
+            manual(self.server.coalescer)
         self._conns = []
 
     async def __aenter__(self):
@@ -307,7 +314,7 @@ class TestController:
                 soft_limit=100, hard_limit=400, clock=clock,
             )
             coalescer = Coalescer(
-                lambda pairs, with_path: [], window_us=None,
+                lambda pairs, with_path: [],
                 soft_limit=100, hard_limit=400, slo=ctl,
             )
             assert coalescer.soft_limit_now() == 100
@@ -335,7 +342,7 @@ class TestCoalescerDeadlines:
                 calls.append(list(pairs))
                 return [None] * len(pairs)
 
-            coalescer = Coalescer(runner, window_us=None, slo=ctl, clock=clock)
+            coalescer = manual(Coalescer(runner, slo=ctl, clock=clock))
             deadline = Deadline(0.010, clock=clock)
             future = coalescer.offer(0, 1, deadline=deadline)
             live = coalescer.offer(2, 3)  # no deadline: must still run
@@ -359,7 +366,7 @@ class TestCoalescerDeadlines:
                 budgets.append((list(pairs), budget_s))
                 return [None] * len(pairs)
 
-            coalescer = Coalescer(runner, window_us=None, slo=ctl, clock=clock)
+            coalescer = manual(Coalescer(runner, slo=ctl, clock=clock))
             coalescer.offer(0, 1, deadline=Deadline(0.250, clock=clock))
             coalescer.offer(2, 3, deadline=Deadline(0.900, clock=clock))
             coalescer.offer(4, 5)
@@ -376,27 +383,22 @@ class TestCoalescerDeadlines:
         assert bounded == pytest.approx(0.250)
         assert sorted(by_budget[bounded]) == [(0, 1), (2, 3)]
 
-    def test_tight_deadline_flushes_before_the_window(self, app):
+    def test_deadlined_lone_request_answers_inside_its_deadline(self, app):
         async def scenario():
-            # A 0.5 s window would sit on a 20 ms deadline for half a
-            # second; the deadline burst must dispatch long before that.
-            server = NetServer(
-                app, port=0, coalesce_us=500_000.0,
-            )
-            await server.start()
-            reader, writer = await asyncio.open_connection(
-                server.host, server.port
-            )
-            await send(writer, {"s": 0, "t": 5, "deadline_ms": 20.0})
-            response = await asyncio.wait_for(recv(reader), 0.4)
-            snap = server.snapshot()["net"]["slo"]
-            writer.close()
-            await server.drain()
-            return response, snap
+            async with _Server(app, manual_flush=False) as harness:
+                reader, writer = await harness.connect()
+                await send(writer, {"s": 0, "t": 5, "deadline_ms": 250.0})
+                response = await asyncio.wait_for(recv(reader), 0.25)
+                return response, harness.server.snapshot()["net"]["slo"]
 
         response, snap = sync(scenario())
-        assert "distance" in response
-        assert snap["ladder"]["early_flushes"] >= 1
+        expected = encode_result(app.executor.query(0, 5), False)
+        assert response == json.loads(json.dumps(expected))
+        assert snap["deadline"]["hits"] == 1
+        assert snap["ladder"]["taken"]["exact"] == 1
+        # Every stage that timed the request shows it, execute included.
+        assert snap["stages_ms"]["execute"] > 0
+        assert set(snap["stages_ms"]) == {"queue", "dispatch", "execute", "collect"}
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +407,7 @@ class TestCoalescerDeadlines:
 class TestLadderResponses:
     def test_hopeless_deadline_degrades_to_estimate(self, app):
         async def scenario():
-            async with _Server(app, coalesce_us=250.0) as harness:
+            async with _Server(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 # 1 µs of budget is spent before admission even runs.
                 await send(writer, {"s": 0, "t": 5, "deadline_ms": 0.001})
@@ -422,7 +424,7 @@ class TestLadderResponses:
     def test_ladder_without_estimate_sheds_with_retry_hint(self, app):
         async def scenario():
             async with _Server(
-                app, coalesce_us=250.0, slo=SloConfig(ladder="exact,shed")
+                app, manual_flush=False, slo=SloConfig(ladder="exact,shed")
             ) as harness:
                 reader, writer = await harness.connect()
                 await send(writer, {"s": 0, "t": 5, "deadline_ms": 0.001})
@@ -436,7 +438,7 @@ class TestLadderResponses:
 
     def test_batch_degrades_whole_not_mixed(self, app):
         async def scenario():
-            async with _Server(app, coalesce_us=250.0) as harness:
+            async with _Server(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 await send(
                     writer,
@@ -454,7 +456,7 @@ class TestLadderResponses:
         """Mid-execute expiry: the exact result exists but arrived late."""
 
         async def scenario():
-            server = NetServer(app, coalesce_us=None, port=0)
+            server = NetServer(app, port=0)
             conn = server.stats.connect("test", "jsonl")
             clock = FakeClock()
             deadline = Deadline(0.005, clock=clock)
@@ -475,7 +477,7 @@ class TestLadderResponses:
     def test_default_deadline_applies_to_bare_requests(self, app):
         async def scenario():
             async with _Server(
-                app, coalesce_us=250.0, slo=SloConfig(default_deadline_ms=0.001)
+                app, manual_flush=False, slo=SloConfig(default_deadline_ms=0.001)
             ) as harness:
                 reader, writer = await harness.connect()
                 await send(writer, {"s": 0, "t": 5})  # no deadline_ms
@@ -488,7 +490,7 @@ class TestLadderResponses:
     def test_http_deadline_header_and_503_shed(self, app):
         async def scenario():
             async with _Server(
-                app, transport="http", coalesce_us=250.0,
+                app, transport="http", manual_flush=False,
                 slo=SloConfig(ladder="exact,shed"),
             ) as harness:
                 reader, writer = await harness.connect()
@@ -585,7 +587,7 @@ class TestRetryFits:
 class TestRetryJitter:
     def test_jitter_spreads_within_the_band(self, app):
         async def scenario():
-            server = NetServer(app, coalesce_us=None, port=0)
+            server = NetServer(app, port=0)
             base = server.coalescer.retry_after_ms()
             samples = {server._retry_after_ms() for _ in range(200)}
             return base, samples
@@ -598,7 +600,7 @@ class TestRetryJitter:
 
     def test_zero_jitter_is_the_raw_estimate(self, app):
         async def scenario():
-            server = NetServer(app, coalesce_us=None, port=0, retry_jitter=0.0)
+            server = NetServer(app, port=0, retry_jitter=0.0)
             return server.coalescer.retry_after_ms(), server._retry_after_ms()
 
         base, jittered = sync(scenario())
@@ -641,7 +643,7 @@ class TestIdleTimeout:
     def test_active_client_is_left_alone(self, app):
         async def scenario():
             async with _Server(
-                app, coalesce_us=250.0, idle_timeout_s=0.2
+                app, manual_flush=False, idle_timeout_s=0.2
             ) as harness:
                 reader, writer = await harness.connect()
                 for _ in range(3):
@@ -669,7 +671,7 @@ class TestNoDeadlineRegression:
         """The deadline-free path answers exactly what PR 4..9 answered."""
 
         async def scenario():
-            async with _Server(app, coalesce_us=250.0) as harness:
+            async with _Server(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 await send(writer, {"s": 0, "t": 5})
                 return await recv(reader)
@@ -680,7 +682,7 @@ class TestNoDeadlineRegression:
 
     def test_batch_and_path_responses_match(self, app):
         async def scenario():
-            async with _Server(app, coalesce_us=250.0) as harness:
+            async with _Server(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 await send(writer, {"pairs": [[0, 5], [3, 9]]})
                 batch = await recv(reader)
@@ -700,7 +702,7 @@ class TestNoDeadlineRegression:
 
     def test_deadline_free_traffic_records_no_slo_activity(self, app):
         async def scenario():
-            async with _Server(app, coalesce_us=250.0) as harness:
+            async with _Server(app, manual_flush=False) as harness:
                 reader, writer = await harness.connect()
                 await send(writer, {"s": 0, "t": 5})
                 await recv(reader)
@@ -723,7 +725,7 @@ class TestNoDeadlineRegression:
 
             app.executor.run = spy
             try:
-                async with _Server(app, coalesce_us=250.0) as harness:
+                async with _Server(app, manual_flush=False) as harness:
                     reader, writer = await harness.connect()
                     await send(writer, {"s": 0, "t": 5})
                     await recv(reader)

@@ -396,7 +396,7 @@ class TestRetryAfterFloor:
     def test_cold_estimate_floored(self):
         from repro.service.net import RETRY_AFTER_FLOOR_MS
 
-        coalescer = self._coalescer(window_us=100.0)
+        coalescer = self._coalescer()
         assert coalescer.retry_after_ms() == RETRY_AFTER_FLOOR_MS
 
     def test_warm_estimate_floored(self):
