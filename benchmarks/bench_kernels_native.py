@@ -4,9 +4,11 @@ PR 8 moved the FlatIndex hot paths behind a kernel-dispatch layer with
 a hand-written C tier (``repro.core._native``).  This benchmark races
 the two tiers head to head on the CI smoke graph:
 
-* each batch kernel lane (``member_probe_many``, ``table_lookup_many``,
-  ``intersect_many``) and the per-pair ``intersect_payload`` scan — the
-  native tier must never be slower than numpy;
+* the fused batch lane (``FlatQueryEngine.query_batch`` in
+  serving-sized batches: one C call per batch natively, the vectorised
+  lanes on numpy) and the per-pair ``intersect_payload`` scan that path
+  reconstruction uses — the native tier must never be slower than
+  numpy;
 * the fused scalar ``query()`` loop — one C call per pair instead of
   seven numpy step dispatches — which must answer a warm single query
   in single-digit microseconds (p50 <= 10 us) at >= 5x over the numpy
@@ -43,8 +45,10 @@ try:
 except ImportError:  # run as a script: benchmarks/ itself is sys.path[0]
     from conftest import write_artifact
 
-#: Elements per batch-kernel lane (one fused call answers all of them).
+#: Pairs in the batch lane race.
 LANE = 20000
+#: Pairs per ``query_batch`` call in that race (a serving flush size).
+BATCH = 256
 #: Pairs for the per-call races (scalar query, intersect_payload).
 PAIRS = 2500
 #: Timed passes per lane; the recorded figure is the best pass (shared
@@ -63,8 +67,8 @@ def _per_call_stats(samples_ns) -> dict:
 def _race_lane(run, calls: int) -> dict:
     """Time a whole-lane callable; per-call share, best of ``REPS``.
 
-    Batch kernels answer the entire lane in one fused call, so the
-    honest per-call figure is the amortised share of the lane; the
+    The lane answers every pair in a few batch calls, so the honest
+    per-pair figure is the amortised share of the lane; the
     distribution across passes gives the percentile spread.
     """
     run()  # warm: settle lazy structures outside the timers
@@ -121,50 +125,36 @@ def run_smoke(scale: float = 0.0008, pairs: int = PAIRS) -> int:
     rng = np.random.default_rng(11)
     owners = rng.integers(0, graph.n, LANE).astype(np.int64)
     others = rng.integers(0, graph.n, LANE).astype(np.int64)
-    landmarks = np.flatnonzero(np.asarray(flat.landmark_row) >= 0)
-    endpoints = landmarks[rng.integers(0, landmarks.size, LANE)].astype(np.int64)
-    scan_owner = rng.integers(0, graph.n, LANE).astype(np.int64)
-    probe_owner = rng.integers(0, graph.n, LANE).astype(np.int64)
+    lane_pairs = list(zip(owners.tolist(), others.tolist()))
+    batches = [lane_pairs[i:i + BATCH] for i in range(0, LANE, BATCH)]
     payloads = [
         (*flat.boundary_payload(int(s)), int(t))
         for s, t in zip(owners[:pairs], others[:pairs])
     ]
     query_pairs = zipf_pairs(graph.n, pairs, exponent=1.0, seed=11)
 
-    lanes = {
-        "member_probe_many": (
-            LANE, lambda: flat.member_probe_many(owners, others)
-        ),
-        "table_lookup_many": (
-            LANE, lambda: flat.table_lookup_many(endpoints, others)
-        ),
-        "intersect_many": (
-            LANE,
-            lambda: flat.intersect_many(
-                flat.boundary_offsets, flat.boundary_nodes,
-                flat.boundary_dists, scan_owner, probe_owner,
-            ),
-        ),
-    }
-    if not flat.has_tables:  # smoke profile always has tables; be safe
-        lanes.pop("table_lookup_many")
-
     failures: list[str] = []
     kernels_report: dict[str, dict] = {}
 
-    # --- batch kernels + per-pair payload scan ------------------------
-    for name, (calls, run) in lanes.items():
-        entry: dict = {"calls": calls}
-        reference = None
-        for tier in tiers:
-            flat.set_kernels(tier)
-            got = _normalise(run())
-            if reference is None:
-                reference = got
-            elif got != reference:
-                failures.append(f"{name}: tiers disagree")
-            entry[tier] = _race_lane(run, calls)
-        kernels_report[name] = entry
+    # --- fused batch lane + per-pair payload scan ---------------------
+    entry = {"calls": LANE, "batch": BATCH}
+    reference = None
+    for tier in tiers:
+        # The flat index is shared: build and measure each tier's
+        # engine before the next one flips it.
+        engine = FlatQueryEngine.from_index(index, kernels=tier)
+        assert engine.kernels == tier
+
+        def run(engine=engine):
+            return [r for batch in batches for r in engine.query_batch(batch)]
+
+        got = [(r.distance, r.method, r.witness, r.probes) for r in run()]
+        if reference is None:
+            reference = got
+        elif got != reference:
+            failures.append("query_batch: tiers disagree")
+        entry[tier] = _race_lane(run, LANE)
+    kernels_report["query_batch"] = entry
 
     entry = {"calls": len(payloads)}
     reference = None

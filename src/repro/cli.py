@@ -205,18 +205,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-batch", type=int, default=1024,
-        help="tcp/http: max requests folded into one executor call "
-        "(requests arriving while a batch executes form the next one)",
+        help="tcp/http: max pairs folded into one executor call "
+        "(requests arriving while a batch executes form the next one; "
+        "a request is never split, so a larger one runs alone)",
     )
     serve.add_argument(
         "--max-pending", type=int, default=4096,
         help="tcp/http: soft admission limit on queued+in-flight "
-        "requests; beyond it requests are answered with "
+        "pairs; beyond it requests are answered with "
         '{"error": "overloaded", "retry_after_ms": ...}',
     )
     serve.add_argument(
         "--hard-pending", type=int, default=0,
-        help="tcp/http: hard limit beyond which the server stops "
+        help="tcp/http: hard limit (pairs) beyond which the server stops "
         "reading sockets so TCP pushes back (0 = 4x --max-pending)",
     )
     serve.add_argument(

@@ -5,8 +5,21 @@ best-effort ``setup.py`` hook) into a plain shared library next to this
 file; no CPython extension module, no numpy C-API.  This module loads
 it lazily, checks that a :class:`~repro.core.flat.FlatIndex`'s arrays
 fit the compiled accessors (compact dtypes, C-contiguous), and exposes
-thin wrappers whose inputs/outputs are *bit-identical* to the numpy
-kernels they replace — pinned by the dual-tier parity suites.
+three entry points whose outputs are *bit-identical* to the numpy tier
+— pinned by the dual-tier parity suites:
+
+* :func:`make_pair_resolver` — the fused scalar Algorithm 1 loop behind
+  ``FlatQueryEngine.resolve`` (no path);
+* :meth:`NativeKernels.query_pairs` — the same loop over a whole pair
+  array in one call, writing result columns: the native batch lane of
+  ``FlatQueryEngine.resolve_many`` and ``ShardQueryEngine.answer_columns``;
+* :meth:`NativeKernels.intersect_payload` — one intersection scan, for
+  the per-pair loops (scalar ``with_path`` resolution, the shard
+  workers' path/cache lane).
+
+The numpy tier keeps its own vectorised batch lanes; they also serve as
+the native tier's error path when the C side meets an inconsistent
+store.
 
 Tier selection (``repro.core.flat.FlatIndex.set_kernels``):
 
@@ -26,6 +39,7 @@ import ctypes
 import os
 import threading
 import warnings
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -127,14 +141,6 @@ def _declare(lib: ctypes.CDLL) -> None:
     i32 = ctypes.c_int32
     i64 = ctypes.c_int64
     view = ctypes.POINTER(_FlatView)
-    lib.repro_member_probe_many.argtypes = [view, p, p, i64, p, p]
-    lib.repro_member_probe_many.restype = None
-    lib.repro_table_lookup_many.argtypes = [view, p, p, i64, p]
-    lib.repro_table_lookup_many.restype = None
-    lib.repro_intersect_many.argtypes = [
-        view, p, i32, p, i32, p, i32, p, p, i64, p, p, p,
-    ]
-    lib.repro_intersect_many.restype = None
     lib.repro_intersect_payload.argtypes = [
         view, p, i32, p, i32, i64, i64, p, p, p, p, p,
     ]
@@ -143,6 +149,10 @@ def _declare(lib: ctypes.CDLL) -> None:
         view, view, i64, i64, i32, p, p, p, p, p, p,
     ]
     lib.repro_query_pair.restype = i32
+    lib.repro_query_pairs.argtypes = [
+        view, view, p, p, i64, i64, i32, p, p, p, p, p, p, p,
+    ]
+    lib.repro_query_pairs.restype = i64
 
 
 def library_path():
@@ -348,59 +358,7 @@ class NativeKernels:
             self._tls.pack = pack
         return pack
 
-    # -- kernel wrappers (signatures and outputs mirror FlatIndex) ----
-    def member_probe_many(self, owners, others):
-        owners = np.ascontiguousarray(owners, dtype=np.int64)
-        others = np.ascontiguousarray(others, dtype=np.int64)
-        m = owners.size
-        hit = np.zeros(m, dtype=bool)
-        dists = np.zeros(m, dtype=self.dist_dtype)
-        if m:
-            self.lib.repro_member_probe_many(
-                self._view_ref, owners.ctypes.data, others.ctypes.data,
-                m, hit.ctypes.data, dists.ctypes.data,
-            )
-        return hit, dists
-
-    def table_lookup_many(self, endpoints, others):
-        endpoints = np.ascontiguousarray(endpoints, dtype=np.int64)
-        others = np.ascontiguousarray(others, dtype=np.int64)
-        out = np.empty(endpoints.size, dtype=np.float64)
-        if endpoints.size:
-            self.lib.repro_table_lookup_many(
-                self._view_ref, endpoints.ctypes.data, others.ctypes.data,
-                endpoints.size, out.ctypes.data,
-            )
-        return out
-
-    def intersect_many(
-        self, scan_offsets, scan_nodes, scan_dists, scan_owner, probe_owner
-    ):
-        off_kind = _OFF_KINDS.get(scan_offsets.dtype)
-        id_kind = _ID_KINDS.get(scan_nodes.dtype)
-        dist_kind = _DIST_KINDS.get(scan_dists.dtype)
-        if (
-            off_kind is None or id_kind is None or dist_kind is None
-            or not _contiguous(scan_offsets, scan_nodes, scan_dists)
-        ):
-            return UNSUPPORTED
-        scan_owner = np.ascontiguousarray(scan_owner, dtype=np.int64)
-        probe_owner = np.ascontiguousarray(probe_owner, dtype=np.int64)
-        lanes = scan_owner.size
-        best = np.full(lanes, np.inf, dtype=np.float64)
-        witness = np.full(lanes, -1, dtype=np.int64)
-        sizes = np.zeros(lanes, dtype=np.int64)
-        if lanes:
-            self.lib.repro_intersect_many(
-                self._view_ref,
-                scan_offsets.ctypes.data, off_kind,
-                scan_nodes.ctypes.data, id_kind,
-                scan_dists.ctypes.data, dist_kind,
-                scan_owner.ctypes.data, probe_owner.ctypes.data, lanes,
-                best.ctypes.data, witness.ctypes.data, sizes.ctypes.data,
-            )
-        return best, witness, sizes
-
+    # -- kernel wrappers ------------------------------------------------
     def intersect_payload(self, scan_nodes, scan_dists, target):
         probes = int(scan_nodes.size)
         if probes == 0:
@@ -427,6 +385,56 @@ class NativeKernels:
         value = int(best.value) if self._integral else float(best.value)
         return value, int(witness.value), probes
 
+    def query_pairs(
+        self, inn, kernel_code, pairs, dist, method, witness, probes
+    ) -> bool:
+        """Answer an ``(m, 2)`` pair array in one C call (GIL released).
+
+        ``self`` is the source side, ``inn`` the target side (the same
+        object when undirected).  Fills the caller's C-contiguous result
+        columns — float64 distances (NaN = unanswered), uint8 method
+        codes, int64 witnesses (-1 = none) and probe counts — and
+        returns ``True``; ``False`` means the C side met an
+        inconsistent store (the columns are then partly written and the
+        caller re-runs the numpy lanes, which raise).
+        """
+        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+        m = pairs.shape[0]
+        s = self.scratch()
+        base = pairs.ctypes.data
+        done = self.lib.repro_query_pairs(
+            self._view_ref, inn._view_ref, base, base + 8, 2, m,
+            kernel_code, s[0], s[1], s[2],
+            dist.ctypes.data, method.ctypes.data,
+            witness.ctypes.data, probes.ctypes.data,
+        )
+        return done == m
+
+
+def _bind(out_flat, inn_flat, kernel):
+    """``(out_native, inn_native, kernel_code)``, or ``None`` unless both
+    sides run the native tier and the kernel has a C counterpart."""
+    out_nk = getattr(out_flat, "_native", None)
+    inn_nk = getattr(inn_flat, "_native", None)
+    code = KERNEL_CODES.get(kernel)
+    if out_nk is None or inn_nk is None or code is None:
+        return None
+    return out_nk, inn_nk, code
+
+
+def make_columns_resolver(out_flat, inn_flat, kernel):
+    """A fused batch resolver, or ``None`` when unavailable.
+
+    The returned ``resolve(pairs, dist, method, witness, probes)``
+    is :meth:`NativeKernels.query_pairs` bound to the two sides and
+    the kernel code.
+    """
+    bound = _bind(out_flat, inn_flat, kernel)
+    if bound is None:
+        return None
+    out_nk, inn_nk, code = bound
+    return partial(out_nk.query_pairs, inn_nk, code)
+
 
 def make_pair_resolver(out_flat, inn_flat, kernel, result_cls, integral):
     """A fused scalar resolver closure, or ``None`` when unavailable.
@@ -437,13 +445,10 @@ def make_pair_resolver(out_flat, inn_flat, kernel, result_cls, integral):
     or ``None`` when the C side reports an inconsistent store (the
     engine then re-runs the numpy path, which raises its usual error).
     """
-    out_nk = getattr(out_flat, "_native", None)
-    inn_nk = getattr(inn_flat, "_native", None)
-    if out_nk is None or inn_nk is None:
+    bound = _bind(out_flat, inn_flat, kernel)
+    if bound is None:
         return None
-    code = KERNEL_CODES.get(kernel)
-    if code is None:
-        return None
+    out_nk, inn_nk, code = bound
     fn = out_nk.lib.repro_query_pair
     outv, innv = out_nk._view_ref, inn_nk._view_ref
     names = _METHOD_NAMES

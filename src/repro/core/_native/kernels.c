@@ -6,11 +6,10 @@
  * which are never written).  Every function replicates its numpy
  * counterpart in repro/core/flat.py / engine.py bit for bit:
  *
- *   repro_member_probe_many  <->  FlatIndex.member_probe_many
- *   repro_intersect_many     <->  FlatIndex.intersect_many
  *   repro_intersect_payload  <->  FlatIndex.intersect_payload
- *   repro_table_lookup_many  <->  FlatIndex.table_lookup_many
  *   repro_query_pair         <->  FlatQueryEngine.resolve (no-path)
+ *   repro_query_pairs        <->  FlatQueryEngine.resolve_many's numpy
+ *                                 lanes (method/witness/probe columns)
  *
  * Parity invariants the code below must preserve (pinned by the
  * dual-tier suites in tests/core/):
@@ -110,20 +109,6 @@ static inline double get_dist(const void *p, int32_t kind, int64_t i)
     }
 }
 
-static inline void set_dist(void *p, int32_t kind, int64_t i, double v)
-{
-    switch (kind) {
-    case DIST_I32:
-        ((int32_t *)p)[i] = (int32_t)v;
-        break;
-    case DIST_F32:
-        ((float *)p)[i] = (float)v;
-        break;
-    default:
-        ((double *)p)[i] = v;
-    }
-}
-
 /* numpy searchsorted side='left': first index in [lo, hi) with
  * ids[i] >= key. */
 static inline int64_t lower_bound(
@@ -154,8 +139,7 @@ static inline double vic_slice_dist(const FlatView *v, int64_t u, int64_t node)
     return get_dist(v->vic_dists, v->dist_kind, pos);
 }
 
-/* `other in member slice of u` — the membership rule of
- * member_probe_many / intersect_many / the weighted payload kernel. */
+/* `other in member slice of u` — the weighted membership rule. */
 static inline int member_hit(const FlatView *v, int64_t u, int64_t other)
 {
     int64_t lo = get_off(v->member_offsets, v->mem_off_kind, u);
@@ -196,78 +180,6 @@ static inline double table_lookup(const FlatView *v, int64_t lm, int64_t other)
 {
     int64_t row = (int64_t)v->landmark_row[lm];
     return get_dist(v->table_dist, v->dist_kind, row * v->n + other);
-}
-
-void repro_member_probe_many(
-    const FlatView *v,
-    const int64_t *owners,
-    const int64_t *others,
-    int64_t m,
-    uint8_t *hit_out,
-    void *dist_out)
-{
-    for (int64_t i = 0; i < m; i++) {
-        if (member_hit(v, owners[i], others[i])) {
-            hit_out[i] = 1;
-            set_dist(dist_out, v->dist_kind, i,
-                     vic_slice_dist(v, owners[i], others[i]));
-        } else {
-            hit_out[i] = 0;
-        }
-    }
-}
-
-void repro_table_lookup_many(
-    const FlatView *v,
-    const int64_t *endpoints,
-    const int64_t *others,
-    int64_t m,
-    double *out)
-{
-    for (int64_t i = 0; i < m; i++)
-        out[i] = table_lookup(v, endpoints[i], others[i]);
-}
-
-void repro_intersect_many(
-    const FlatView *probe,
-    const void *scan_offsets, int32_t scan_off_kind,
-    const void *scan_nodes, int32_t scan_id_kind,
-    const void *scan_dists, int32_t scan_dist_kind,
-    const int64_t *scan_owner,
-    const int64_t *probe_owner,
-    int64_t lanes,
-    double *best_out,
-    int64_t *witness_out,
-    int64_t *sizes_out)
-{
-    for (int64_t i = 0; i < lanes; i++) {
-        int64_t lo = get_off(scan_offsets, scan_off_kind, scan_owner[i]);
-        int64_t hi = get_off(scan_offsets, scan_off_kind, scan_owner[i] + 1);
-        int64_t po = probe_owner[i];
-        int64_t mlo = get_off(probe->member_offsets, probe->mem_off_kind, po);
-        int64_t mhi = get_off(probe->member_offsets, probe->mem_off_kind, po + 1);
-        double best = INFINITY;
-        int64_t witness = -1;
-        sizes_out[i] = hi - lo;
-        for (int64_t j = lo; j < hi; j++) {
-            int64_t node = get_id(scan_nodes, scan_id_kind, j);
-            int64_t pos = lower_bound(
-                probe->member_nodes, probe->id_kind, mlo, mhi, node);
-            if (pos >= mhi
-                || get_id(probe->member_nodes, probe->id_kind, pos) != node)
-                continue;
-            {
-                double sum = get_dist(scan_dists, scan_dist_kind, j)
-                    + vic_slice_dist(probe, po, node);
-                if (sum < best) {
-                    best = sum;
-                    witness = node;
-                }
-            }
-        }
-        best_out[i] = best;
-        witness_out[i] = witness;
-    }
 }
 
 static inline int32_t ilog2_floor(int64_t x)
@@ -601,4 +513,45 @@ int32_t repro_query_pair(
             return M_INTERSECTION;
         }
     }
+}
+
+/* repro_query_pair over a whole batch, into result columns: one call
+ * (and, through ctypes, one GIL release) per batch.  Pair i reads
+ * sources[i * stride] / targets[i * stride], so an (m, 2) pair array
+ * feeds both columns without a copy.  dist is NaN and witness -1
+ * wherever the scalar loop leaves them unset (miss, disconnected, and
+ * every method but intersection for the witness).  Returns m, or the
+ * index of the first inconsistent pair (the caller re-runs the numpy
+ * lanes, which raise). */
+int64_t repro_query_pairs(
+    const FlatView *out,
+    const FlatView *inn,
+    const int64_t *sources,
+    const int64_t *targets,
+    int64_t stride,
+    int64_t m,
+    int32_t kernel,
+    int32_t *stamp,
+    int32_t *spos,
+    int32_t *epoch_io,
+    double *dist_out,
+    uint8_t *method_out,
+    int64_t *witness_out,
+    int64_t *probes_out)
+{
+    for (int64_t i = 0; i < m; i++) {
+        double d = NAN;
+        int64_t w = -1;
+        int64_t p = 0;
+        int32_t code = repro_query_pair(
+            out, inn, sources[i * stride], targets[i * stride], kernel,
+            stamp, spos, epoch_io, &d, &w, &p);
+        if (code < 0)
+            return i;
+        dist_out[i] = d;
+        method_out[i] = (uint8_t)code;
+        witness_out[i] = w;
+        probes_out[i] = p;
+    }
+    return m;
 }

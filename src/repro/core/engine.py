@@ -31,13 +31,16 @@ The one documented exception: the ablation-only ``full-*`` kernels scan
 members in sorted-id order (the flat layout has no dict iteration order
 to preserve), so a distance *tie* can elect a different witness.
 
-The batch path is where the representation pays off: endpoint
-validation, the landmark lanes and vicinity-membership conditions
-(3)/(4) each collapse to one vectorised gather or searchsorted across
-the whole batch, and the surviving pairs run the fused intersection
-join of :meth:`FlatIndex.intersect_many` — sorted by scan source so
-repeated sources share one boundary payload — instead of one kernel
-call per pair.
+The batch path answers a deduplicated pair array in one call.  On the
+native tier that call is :meth:`NativeKernels.query_pairs
+<repro.core._native.NativeKernels.query_pairs>`: the scalar Algorithm 1
+loop in C over the whole batch, writing result columns.  On the numpy
+tier, endpoint validation, the landmark lanes and vicinity-membership
+conditions (3)/(4) each collapse to one vectorised gather or
+searchsorted across the whole batch, and the surviving pairs run the
+fused intersection join of :meth:`FlatIndex.intersect_many` — sorted by
+scan source so repeated sources share one boundary payload — instead of
+one kernel call per pair.
 """
 
 from __future__ import annotations
@@ -70,6 +73,54 @@ _MISS = METHOD_CODE["miss"]
 _DISCONNECTED = METHOD_CODE["disconnected"]
 
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
+
+
+def _fresh_columns(m):
+    """Result columns for ``m`` unanswered pairs: float64 distances
+    (NaN), uint8 method codes, int64 witnesses (-1) and probes."""
+    return (
+        np.full(m, np.nan),
+        np.zeros(m, dtype=np.uint8),
+        np.full(m, -1, dtype=np.int64),
+        np.zeros(m, dtype=np.int64),
+    )
+
+#: The §5 shard worker always scans the source boundary.
+_SHARD_KERNEL = _native.KERNEL_CODES["boundary-source"]
+
+
+def results_from_columns(
+    arr, dist, method, witness, probes, integral,
+    result_cls=QueryResult, path_of=None,
+):
+    """Result objects from the four result columns of a pair array.
+
+    NaN distances become ``None``, ``identical`` answers ``0``, other
+    distances ``int`` on integral stores and ``float`` otherwise — the
+    typing of the object lanes and of the wire decoder.  ``path_of``,
+    when given, maps ``(source, target, method_code, witness)`` to the
+    path of every answered pair.
+    """
+    names = METHODS
+    results = []
+    append = results.append
+    for (s, t), d, code, w, p in zip(
+        arr.tolist(), dist.tolist(), method.tolist(),
+        witness.tolist(), probes.tolist(),
+    ):
+        if d != d:  # NaN: miss or disconnected
+            value = None
+        elif code == _IDENTICAL:
+            value = 0
+        else:
+            value = int(d) if integral else d
+        path = None
+        if path_of is not None and value is not None:
+            path = path_of(s, t, code, w)
+        append(result_cls(
+            s, t, value, path, names[code], None if w < 0 else w, p
+        ))
+    return results
 
 
 def _unique_pairs(arr, n):
@@ -218,6 +269,12 @@ class FlatQueryEngine:
         self._native_resolve = _native.make_pair_resolver(
             self.out, self.inn, kernel, result_cls, self._integral
         )
+        #: The same loop over a whole batch (``None`` exactly when
+        #: ``_native_resolve`` is); :meth:`resolve_many` then runs the
+        #: numpy lanes.
+        self._native_columns = _native.make_columns_resolver(
+            self.out, self.inn, kernel
+        )
 
     @property
     def kernels(self) -> str:
@@ -365,6 +422,23 @@ class FlatQueryEngine:
         second.reverse()
         return first + second[1:]
 
+    def _path_of(self, source: int, target: int, code: int, witness: int):
+        """The path of an answered pair, from its method code."""
+        if code == _IDENTICAL:
+            return [source]
+        if code == _LM_SOURCE:
+            return self.out.parent_chain(source, target)
+        if code == _T_IN_S:
+            return self.out.pred_chain(source, target, source)
+        if code == _INTERSECTION:
+            return self._splice(source, target, witness)
+        if code == _LM_TARGET:
+            path = self.inn.parent_chain(target, source)
+        else:  # source-in-target-vicinity
+            path = self.inn.pred_chain(target, source, target)
+        path.reverse()
+        return path
+
     def _distance(self, value) -> object:
         return int(value) if self._integral else float(value)
 
@@ -374,8 +448,11 @@ class FlatQueryEngine:
     def resolve_many(self, arr: np.ndarray, with_path: bool) -> list[QueryResult]:
         """Resolve a validated ``(m, 2)`` pair array through fused lanes.
 
-        Per-pair results are identical to :meth:`resolve`; the lanes
-        differ only in how much work is shared:
+        Per-pair results are identical to :meth:`resolve`.  On the
+        native tier the distinct pairs run as one C call writing result
+        columns; ``with_path`` then walks each answered pair's chains
+        from its method and witness.  The numpy tier's lanes differ only
+        in how much work is shared:
 
         * ``s == t`` short-circuits on one vectorised compare;
         * conditions (1)/(2) gather every landmark table distance in
@@ -399,6 +476,14 @@ class FlatQueryEngine:
             if uniq.shape[0] < m:
                 resolved = self.resolve_many(uniq, with_path)
                 return [resolved[i] for i in inverse.tolist()]
+        if self._native_columns is not None:
+            columns = _fresh_columns(m)
+            # False: an inconsistent store — the numpy lanes raise.
+            if self._native_columns(arr, *columns):
+                return results_from_columns(
+                    arr, *columns, self._integral, rc,
+                    self._path_of if with_path else None,
+                )
         sources, targets = arr[:, 0], arr[:, 1]
         results: list[Optional[QueryResult]] = [None] * m
 
@@ -743,23 +828,9 @@ class ShardQueryEngine:
         dist, method, witness, probes, local, remote, trips = (
             self.answer_columns(arr)
         )
-        integral = self.flat._integral
-        names = METHODS
-        results = []
-        append = results.append
-        for (s, t), d, code, w, p in zip(
-            arr.tolist(), dist.tolist(), method.tolist(),
-            witness.tolist(), probes.tolist(),
-        ):
-            if d != d:  # NaN: miss or disconnected
-                value = None
-            elif code == _IDENTICAL:
-                value = 0
-            else:
-                value = int(d) if integral else float(d)
-            append(QueryResult(
-                s, t, value, None, names[code], None if w < 0 else w, p
-            ))
+        results = results_from_columns(
+            arr, dist, method, witness, probes, self.flat._integral
+        )
         return results, local, remote, trips.tolist()
 
     # ------------------------------------------------------------------
@@ -785,9 +856,10 @@ class ShardQueryEngine:
         return dist, method, witness, probes, local, remote, trips
 
     def _resolve_columns(self, arr):
-        """Algorithm 1 lanes over columns — the §5 worker always probes
+        """Algorithm 1 over columns — the §5 worker always probes
         source-side first and scans the source boundary (the
-        ``boundary-source`` kernel), mirroring
+        ``boundary-source`` kernel): one C call on the native tier,
+        otherwise numpy lanes mirroring
         :meth:`FlatQueryEngine.resolve_many` lane for lane."""
         m = arr.shape[0]
         if m > 1:
@@ -798,8 +870,17 @@ class ShardQueryEngine:
                 d, c, w, p = self._resolve_columns(uniq)
                 return d[inverse], c[inverse], w[inverse], p[inverse]
         flat = self.flat
-        sources, targets = arr[:, 0], arr[:, 1]
         dist, method, witness, probes = self._result_columns(m)
+        native = flat._native_tier()
+        if native is not None:
+            if native.query_pairs(
+                native, _SHARD_KERNEL, arr, dist, method, witness, probes
+            ):
+                return dist, method, witness, probes
+            # An inconsistent store: start the numpy lanes (which
+            # raise) from freshly initialised columns.
+            dist, method, witness, probes = self._result_columns(m)
+        sources, targets = arr[:, 0], arr[:, 1]
 
         identical = sources == targets
         idx = np.flatnonzero(identical)
@@ -862,12 +943,7 @@ class ShardQueryEngine:
         refilled with the same initial values — byte-identical frames
         without a per-frame allocation."""
         if self._scratch is None:
-            return (
-                np.full(m, np.nan),
-                np.zeros(m, dtype=np.uint8),
-                np.full(m, -1, dtype=np.int64),
-                np.zeros(m, dtype=np.int64),
-            )
+            return _fresh_columns(m)
         buf = self._scratch
         if not buf or buf[0].size < m:
             cap = max(m, 256)

@@ -839,9 +839,6 @@ class FlatIndex:
         ``(hit_mask, distances)`` with distances meaningful only where
         the mask is true.
         """
-        native = self._native_tier()
-        if native is not None:
-            return native.member_probe_many(owners, others)
         key = owners * self._key_scale + others
         dists = np.zeros(key.size, dtype=self.vic_dists.dtype)
         if self._member_key.size == 0 or key.size == 0:
@@ -850,7 +847,18 @@ class FlatIndex:
         np.minimum(pos, self._member_key.size - 1, out=pos)
         hit = self._member_key[pos] == key
         if hit.any():
-            vpos = np.searchsorted(self._vic_key, key[hit])
+            found = key[hit]
+            vpos = np.searchsorted(self._vic_key, found)
+            np.minimum(vpos, self._vic_key.size - 1, out=vpos)
+            stray = np.flatnonzero(self._vic_key[vpos] != found)
+            if stray.size:
+                # A member without a stored distance: the store is
+                # inconsistent (vicinity_distance raises the same error).
+                k = int(np.flatnonzero(hit)[stray[0]])
+                raise QueryError(
+                    f"node {int(others[k])} is not in the stored table "
+                    f"of {int(owners[k])}"
+                )
             dists[hit] = self.vic_dists[vpos]
         return hit, dists
 
@@ -864,9 +872,6 @@ class FlatIndex:
         unreachable, exactly as :meth:`table_distance` interprets
         them) so both kernel tiers hand callers one numeric type.
         """
-        native = self._native_tier()
-        if native is not None:
-            return native.table_lookup_many(endpoints, others)
         rows = self.landmark_row[endpoints]
         return self.table_dist[rows, others].astype(np.float64, copy=False)
 
@@ -891,13 +896,6 @@ class FlatIndex:
         ``float64`` with ``inf`` marking no intersection and ``witness``
         ``-1`` there.
         """
-        native = self._native_tier()
-        if native is not None:
-            res = native.intersect_many(
-                scan_offsets, scan_nodes, scan_dists, scan_owner, probe_owner
-            )
-            if res is not _native.UNSUPPORTED:
-                return res
         lanes = scan_owner.size
         lo = scan_offsets[scan_owner]
         sizes = (scan_offsets[scan_owner + 1] - lo).astype(np.int64)

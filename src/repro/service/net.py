@@ -67,9 +67,9 @@ from repro.service.server import ServiceApp, encode_result
 from repro.service.slo import Deadline, SloConfig, SloController
 from repro.service.telemetry import LatencyHistogram
 
-#: Default max requests folded into one executor call.
+#: Default max pairs folded into one executor call.
 DEFAULT_MAX_BATCH = 1024
-#: Default soft admission limit (pending + in-flight requests).
+#: Default soft admission limit (pending + in-flight pairs).
 DEFAULT_MAX_PENDING = 4096
 
 #: Floor for the suggested client backoff.  A cold or tiny latency EWMA
@@ -113,13 +113,16 @@ class _DeadlineMiss:
 
 
 class _Request:
-    """One admitted pair waiting in the coalescing queue."""
+    """One admitted client request waiting in the coalescing queue.
 
-    __slots__ = ("s", "t", "with_path", "future", "enqueued", "conn", "deadline")
+    ``future`` resolves once, to the request's in-order result list or
+    to a single :class:`_BatchError`/:class:`_DeadlineMiss` marker.
+    """
 
-    def __init__(self, s, t, with_path, future, enqueued, conn, deadline) -> None:
-        self.s = s
-        self.t = t
+    __slots__ = ("pairs", "with_path", "future", "enqueued", "conn", "deadline")
+
+    def __init__(self, pairs, with_path, future, enqueued, conn, deadline) -> None:
+        self.pairs = pairs
         self.with_path = with_path
         self.future = future
         self.enqueued = enqueued
@@ -223,9 +226,9 @@ class NetStats:
     Everything here is mutated on the event loop thread only (the
     dispatch thread runs the executor, not the accounting), so no lock
     is needed.  The queue-wait histogram measures enqueue-to-dispatch
-    time, the service-time histogram the per-request share of each
-    batch's execution — together they split observed latency into
-    "waiting behind a batch" vs "being answered".
+    time (one sample per client request), the service-time histogram
+    each pair's share of its batch's execution — together they split
+    observed latency into "waiting behind a batch" vs "being answered".
     """
 
     def __init__(self, reservoir: int = 8192, clock=time.monotonic) -> None:
@@ -341,14 +344,15 @@ class Coalescer:
         runner: ``runner(pairs, with_path) -> list[QueryResult]`` — in
             production a closure over the server's *current* app, so a
             hot reload redirects every flush after the swap.
-        max_batch: requests per executor call; larger drains are
-            chunked to this size.
-        soft_limit: pending + in-flight requests beyond which
+        max_batch: pairs per executor call; larger drains are chunked
+            into whole requests of at most this many pairs.  A request
+            is never split: one larger than ``max_batch`` runs alone.
+        soft_limit: pending + in-flight pairs beyond which
             :meth:`offer` rejects (the caller answers "overloaded").
-        hard_limit: depth beyond which :meth:`wait_admittable` blocks —
-            connection readers await it before every read, so sockets
-            stop being drained and TCP pushes back.  Defaults to
-            ``4 * soft_limit``.
+        hard_limit: depth (in pairs) beyond which
+            :meth:`wait_admittable` blocks — connection readers await it
+            before every read, so sockets stop being drained and TCP
+            pushes back.  Defaults to ``4 * soft_limit``.
         stats: optional :class:`NetStats` receiving queue/flush metrics.
         slo: optional :class:`SloController`.  When present, per-stage
             timings feed its predictor, expired requests are peeled off
@@ -366,6 +370,10 @@ class Coalescer:
     kernels want, and an idle server pays no wait for a batch that
     never forms.  The dispatch lock serialises batches and is the
     reload synchronisation point.
+
+    Each client request is one queue entry with one future, however
+    many pairs it carries; every limit and counter above still counts
+    pairs.
     """
 
     def __init__(
@@ -394,6 +402,7 @@ class Coalescer:
         self.clock = clock
         self._runner_takes_budget = _accepts_budget(runner)
         self._pending: list[_Request] = []
+        self._queued_pairs = 0  # pairs across _pending
         self._in_flight = 0
         self._lock = asyncio.Lock()
         self._gate = asyncio.Event()
@@ -406,13 +415,14 @@ class Coalescer:
     # -- admission -------------------------------------------------------
     @property
     def depth(self) -> int:
-        """Requests admitted but not yet answered (queued + in flight)."""
-        return len(self._pending) + self._in_flight
+        """Pairs admitted but not yet answered (queued + in flight)."""
+        return self._queued_pairs + self._in_flight
 
     def offer(
         self, s: int, t: int, *, with_path: bool = False, conn=None, deadline=None
     ):
-        """Admit one pair; returns its future, or ``None`` when overloaded."""
+        """Admit one pair; returns its future (resolving to a one-result
+        list or a marker), or ``None`` when overloaded."""
         admitted = self.offer_many(
             [(s, t)], with_path=with_path, conn=conn, deadline=deadline
         )
@@ -421,30 +431,32 @@ class Coalescer:
     def offer_many(
         self, pairs, *, with_path: bool = False, conn=None, deadline=None
     ):
-        """Admit a client batch atomically; ``None`` when it would overflow.
+        """Admit a client request atomically; ``None`` when it would overflow.
 
-        The whole batch is admitted or rejected as one unit — partial
+        The whole request is admitted or rejected as one unit — partial
         admission would hand the client an unordered mix of answers and
-        overload errors for a single request object.  ``deadline`` (a
-        :class:`~repro.service.slo.Deadline`) rides with every request
-        of the batch into dispatch.
+        overload errors for a single request object.  Returns
+        ``[future]``: one future for the whole request, resolving to its
+        in-order result list (or a single marker).  ``deadline`` (a
+        :class:`~repro.service.slo.Deadline`) rides with the request
+        into dispatch.
         """
-        if self._closed or self.depth + len(pairs) > self.soft_limit_now():
+        size = len(pairs)
+        if self._closed or self.depth + size > self.soft_limit_now():
             return None
-        loop = asyncio.get_running_loop()
-        now = self.clock()
-        futures = []
-        for s, t in pairs:
-            future = loop.create_future()
-            self._pending.append(
-                _Request(s, t, with_path, future, now, conn, deadline)
-            )
-            futures.append(future)
+        future = asyncio.get_running_loop().create_future()
+        if not size:
+            future.set_result([])
+            return [future]
+        self._pending.append(
+            _Request(pairs, with_path, future, self.clock(), conn, deadline)
+        )
+        self._queued_pairs += size
         if self.stats is not None:
             self.stats.observe_depth(self.depth)
         self._update_gate()
         self._schedule_flush()
-        return futures
+        return [future]
 
     def soft_limit_now(self) -> int:
         """The live admission limit: the AIMD limit when adaptive, else static.
@@ -490,7 +502,7 @@ class Coalescer:
             self._flusher = asyncio.create_task(self.flush())
 
     async def flush(self) -> int:
-        """Dispatch everything pending (chunked); returns requests answered.
+        """Dispatch everything pending (chunked); returns pairs answered.
 
         Requests arriving *while* a chunk executes are drained by the
         same call, so under load the loop runs back-to-back batches of
@@ -499,18 +511,32 @@ class Coalescer:
         answered = 0
         while self._pending:
             async with self._lock:
-                batch = self._pending[: self.max_batch]
+                batch, size = self._take_batch()
                 if not batch:  # lost the race to a concurrent flush
                     break
-                del self._pending[: len(batch)]
-                self._in_flight += len(batch)
+                self._in_flight += size
                 try:
                     await self._dispatch(batch)
                 finally:
-                    self._in_flight -= len(batch)
+                    self._in_flight -= size
                     self._update_gate()
-                answered += len(batch)
+                answered += size
         return answered
+
+    def _take_batch(self) -> tuple[list[_Request], int]:
+        """Pop whole requests totalling at most ``max_batch`` pairs, or
+        one larger request alone; returns them and their pair count."""
+        size = count = 0
+        for request in self._pending:
+            n = len(request.pairs)
+            if count and size + n > self.max_batch:
+                break
+            size += n
+            count += 1
+        batch = self._pending[:count]
+        del self._pending[:count]
+        self._queued_pairs -= size
+        return batch, size
 
     async def _dispatch(self, batch: list[_Request]) -> None:
         loop = asyncio.get_running_loop()
@@ -544,7 +570,7 @@ class Coalescer:
             key = (request.with_path, request.deadline is not None)
             lanes.setdefault(key, []).append(request)
         for (with_path, bounded), lane in lanes.items():
-            pairs = [(r.s, r.t) for r in lane]
+            pairs = [pair for r in lane for pair in r.pairs]
             call = partial(self.runner, pairs, with_path)
             if bounded and self._runner_takes_budget:
                 # The lane runs under its tightest member's residual
@@ -556,28 +582,35 @@ class Coalescer:
             t0 = self.clock()
             if slo is not None:
                 slo.observe_stage("dispatch", t0 - started)
+            failure = None
             try:
                 results = await loop.run_in_executor(self._pool, call)
             except Exception as exc:  # answer with errors, never drop
-                results = [_BatchError(exc)] * len(lane)
+                failure = _BatchError(exc)
             t1 = self.clock()
             if slo is not None:
                 slo.observe_stage("execute", t1 - t0)
-                slo.observe_execute(t1 - t0, len(lane))
-            for request, result in zip(lane, results):
+                slo.observe_execute(t1 - t0, len(pairs))
+            start = 0
+            for request in lane:
+                end = start + len(request.pairs)
                 if not request.future.done():
-                    request.future.set_result(result)
+                    request.future.set_result(
+                        failure if failure is not None else results[start:end]
+                    )
+                start = end
             if slo is not None:
                 slo.observe_stage("collect", self.clock() - t1)
         elapsed = self.clock() - started
-        share = elapsed / len(batch)
+        size = sum(len(request.pairs) for request in batch)
+        share = elapsed / size
         self._ewma_item_s = (
             share if self._ewma_item_s == 0.0
             else 0.8 * self._ewma_item_s + 0.2 * share
         )
         if self.stats is not None:
             conns = len({id(r.conn) for r in batch if r.conn is not None})
-            self.stats.observe_flush(waits, elapsed, len(batch), conns)
+            self.stats.observe_flush(waits, elapsed, size, conns)
 
     @property
     def dispatch_lock(self) -> asyncio.Lock:
@@ -891,10 +924,10 @@ class NetServer:
                 return self._degrade_or_shed(
                     conn, rung, pairs, with_path, batch=True
                 )
-        futures = self.coalescer.offer_many(
+        admitted = self.coalescer.offer_many(
             pairs, with_path=with_path, conn=conn, deadline=deadline
         )
-        if futures is None:
+        if admitted is None:
             if deadline is not None:
                 self.slo.note_stage_miss("queue")
                 return self._degrade_or_shed(
@@ -905,7 +938,7 @@ class NetServer:
         conn.pairs += len(pairs)
         self.stats.accepted += len(pairs)
         return self._await_pairs(
-            futures, with_path, conn=conn, pairs=pairs, deadline=deadline
+            admitted[0], with_path, conn=conn, pairs=pairs, deadline=deadline
         )
 
     def _retry_after_ms(self) -> int:
@@ -983,13 +1016,14 @@ class NetServer:
         if isinstance(result, _BatchError):
             self.stats.errors += 1
             return {"error": str(result.exc)}
-        if deadline is None:
-            return encode_result(result, with_path)
         if isinstance(result, _DeadlineMiss):
             self.slo.note_completion(deadline)
             return self._degrade_or_shed(
                 conn, self.slo.rung_after("exact"), [pair], with_path
             )
+        (result,) = result
+        if deadline is None:
+            return encode_result(result, with_path)
         met = self.slo.note_completion(deadline)
         if not met:
             # The exact answer exists but arrived late: a late answer
@@ -1004,17 +1038,16 @@ class NetServer:
         return encode_result(result, with_path)
 
     async def _await_pairs(
-        self, futures, with_path: bool, *, conn=None, pairs=None, deadline=None
+        self, future, with_path: bool, *, conn=None, pairs=None, deadline=None
     ) -> dict:
-        results = await asyncio.gather(*futures)
-        bad = next((r for r in results if isinstance(r, _BatchError)), None)
-        if bad is not None:
+        results = await future
+        if isinstance(results, _BatchError):
             self.stats.errors += 1
-            return {"error": str(bad.exc)}
+            return {"error": str(results.exc)}
         if deadline is None:
             return {"results": [encode_result(r, with_path) for r in results]}
         met = self.slo.note_completion(deadline)
-        missed = any(isinstance(r, _DeadlineMiss) for r in results)
+        missed = isinstance(results, _DeadlineMiss)
         if missed or not met:
             if not missed:
                 self.slo.note_stage_miss("execute")

@@ -39,6 +39,18 @@ def _pairs(n, count, seed):
     return [tuple(int(x) for x in rng.integers(0, n, 2)) for _ in range(count)]
 
 
+def _batch_pairs(flat, count, seed):
+    """Random pairs plus the batch lanes' edge cases: duplicate and
+    mirrored pairs, ``s == t``, and landmark endpoints on either side."""
+    pairs = _pairs(flat.n, count, seed)
+    extra = pairs[:8] + [(t, s) for s, t in pairs[:8]]
+    extra += [(0, 0), (flat.n - 1, flat.n - 1)]
+    s0, t0 = pairs[0]
+    for lm in flat.landmark_ids[:4].tolist():
+        extra += [(lm, t0), (s0, lm), (lm, lm), (t0, lm), (lm, s0)]
+    return pairs + extra
+
+
 def fields(result):
     return (
         result.source, result.target, result.distance,
@@ -246,15 +258,24 @@ class TestScalarParity:
             want = numpy_eng.resolve(s, t, True)
             assert fields(got) == fields(want), (s, t)
 
-    def test_batch_matches_numpy_tier(self, built):
-        pairs = _pairs(built.n, 500, seed=12)
-        want = FlatQueryEngine.from_index(built, kernels="numpy").query_batch(
-            pairs, with_path=True
+    @pytest.mark.parametrize("with_path", [False, True], ids=["plain", "path"])
+    @pytest.mark.parametrize(
+        "kernel",
+        ["boundary-source", "boundary-target", "boundary-smaller",
+         "full-source", "full-smaller"],
+    )
+    def test_batch_matches_numpy_tier(self, built, kernel, with_path):
+        pairs = _batch_pairs(FlatIndex.from_index(built), 500, seed=12)
+        want = FlatQueryEngine.from_index(
+            built, kernel=kernel, kernels="numpy"
+        ).query_batch(pairs, with_path=with_path)
+        native_eng = FlatQueryEngine.from_index(
+            built, kernel=kernel, kernels="native"
         )
-        got = FlatQueryEngine.from_index(built, kernels="native").query_batch(
-            pairs, with_path=True
-        )
-        assert_results_identical(got, want)
+        assert native_eng._native_columns is not None
+        got = native_eng.query_batch(pairs, with_path=with_path)
+        assert len(got) == len(want) == len(pairs)
+        assert_results_identical(got, want, kernel)
 
 
 @needs_native
@@ -262,16 +283,17 @@ class TestDtypeGridParity:
     """Every compact distance/id width through the same C entry points."""
 
     def _check(self, index):
-        pairs = _pairs(index.n, 400, seed=21)
         kernel = index.config.kernel
         flat = FlatIndex.from_index(index)
-        want = FlatQueryEngine(flat, kernel=kernel, kernels="numpy").query_batch(
-            pairs, with_path=True
-        )
-        got = FlatQueryEngine(flat, kernel=kernel, kernels="native").query_batch(
-            pairs, with_path=True
-        )
-        assert_results_identical(got, want)
+        pairs = _batch_pairs(flat, 400, seed=21)
+        for with_path in (False, True):
+            want = FlatQueryEngine(
+                flat, kernel=kernel, kernels="numpy"
+            ).query_batch(pairs, with_path=with_path)
+            got = FlatQueryEngine(
+                flat, kernel=kernel, kernels="native"
+            ).query_batch(pairs, with_path=with_path)
+            assert_results_identical(got, want, with_path)
         for s, t in pairs[:100]:
             a = FlatQueryEngine(flat, kernel=kernel, kernels="native").resolve(
                 s, t, False
@@ -319,7 +341,7 @@ class TestDtypeGridParity:
             n=built.n,
             weighted=built.graph.is_weighted,
         )
-        pairs = _pairs(built.n, 400, seed=22)
+        pairs = _batch_pairs(flat, 400, seed=22)
         kernel = built.config.kernel
         want = FlatQueryEngine(flat, kernel=kernel, kernels="numpy").query_batch(pairs)
         got = FlatQueryEngine(flat, kernel=kernel, kernels="native").query_batch(pairs)
@@ -486,35 +508,82 @@ class TestScratchThreadSafety:
 
 
 @needs_native
-class TestNativeBatchKernels:
-    """The array-lane wrappers against their numpy twins, directly."""
+class TestFusedBatchLane:
+    """The one-call batch lane and the per-pair scan it leaves behind."""
 
-    def test_member_probe_many(self, built):
-        flat = FlatIndex.from_index(built)
-        flat.set_kernels("native")
-        rng = np.random.default_rng(61)
-        owners = rng.integers(0, built.n, 500)
-        others = rng.integers(0, built.n, 500)
-        hit_n, dist_n = flat.member_probe_many(owners, others)
-        flat.set_kernels("numpy")
-        hit_p, dist_p = flat.member_probe_many(owners, others)
-        assert np.array_equal(hit_n, hit_p)
-        assert np.array_equal(dist_n[hit_n], dist_p[hit_p])
+    @staticmethod
+    def _tiered(flat, tier):
+        # An independent index over the same arrays: the kernel tier is
+        # per index, and the shard engine reads it at call time.
+        twin = FlatIndex(
+            dict(flat.arrays), n=flat.n, weighted=flat.weighted,
+            store_paths=flat.store_paths,
+        )
+        twin.set_kernels(tier)
+        return twin
 
-    def test_table_lookup_many(self, built):
+    def test_shard_columns_match_numpy_tier_byte_for_byte(self, built):
         flat = FlatIndex.from_index(built)
-        if not flat.has_tables:
-            pytest.skip("no landmark tables on this build")
-        landmarks = flat.landmark_ids
-        rng = np.random.default_rng(62)
-        endpoints = landmarks[rng.integers(0, len(landmarks), 300)].astype(np.int64)
-        others = rng.integers(0, built.n, 300)
-        flat.set_kernels("native")
-        got = flat.table_lookup_many(endpoints, others)
-        flat.set_kernels("numpy")
-        want = flat.table_lookup_many(endpoints, others)
-        assert got.dtype == np.float64
-        assert np.array_equal(got, want, equal_nan=True)
+        assign = shard_assignment(built.n, 3, "hash")
+        native = ShardQueryEngine(
+            self._tiered(flat, "native"), assign, False, reuse_scratch=True
+        )
+        numpy_eng = ShardQueryEngine(
+            self._tiered(flat, "numpy"), assign, False, reuse_scratch=True
+        )
+        pairs = np.asarray(_batch_pairs(flat, 300, seed=44), dtype=np.int64)
+        for chunk in (pairs[:1], pairs[:37], pairs, pairs[5:9]):
+            got = native.answer_columns(chunk)
+            want = numpy_eng.answer_columns(chunk)
+            for a, b in zip(got[:4], want[:4]):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+            assert got[4:6] == want[4:6]
+            assert got[6].tobytes() == want[6].tobytes()
+
+    @pytest.mark.parametrize("tier", ["native", "numpy"])
+    def test_corrupted_store_raises_query_error(self, tier):
+        from repro.exceptions import QueryError
+
+        graph = random_connected_graph(120, 320, seed=71, weighted=True)
+        flat = FlatIndex.from_index(VicinityOracle.build(
+            graph, config=OracleConfig(alpha=4.0, seed=5, fallback="none")
+        ).index)
+        assert not flat.integral  # membership and distances are split
+        arrays = {name: arr.copy() for name, arr in flat.arrays.items()}
+        vic_offsets, vic_nodes = arrays["vic_offsets"], arrays["vic_nodes"]
+        no_table = flat.landmark_row < 0
+        pair = None
+        for u in np.flatnonzero(no_table).tolist():
+            lo, hi = int(vic_offsets[u]), int(vic_offsets[u + 1])
+            members = flat.member_nodes[
+                flat.member_offsets[u]:flat.member_offsets[u + 1]
+            ]
+            for pos in range(lo + 1, hi):
+                v = int(vic_nodes[pos])
+                if v != u and no_table[v] and v in members:
+                    # v stays a member of Gamma(u) but loses its stored
+                    # distance; the slice stays sorted.
+                    vic_nodes[pos] = vic_nodes[pos - 1]
+                    pair = (u, v)
+                    break
+            if pair is not None:
+                break
+        assert pair is not None
+        broken = FlatIndex(
+            arrays, n=flat.n, weighted=flat.weighted, store_paths=True
+        )
+        engine = FlatQueryEngine(broken, kernels=tier)
+        clean = (pair[1], pair[1])
+        with pytest.raises(QueryError, match="not in the stored table"):
+            engine.query_batch([clean, pair, clean])
+        with pytest.raises(QueryError, match="not in the stored table"):
+            engine.query(*pair)
+        shard = ShardQueryEngine(
+            broken, shard_assignment(flat.n, 2, "hash"), False
+        )
+        with pytest.raises(QueryError, match="not in the stored table"):
+            shard.answer_columns(np.asarray([pair], dtype=np.int64))
 
     def test_intersect_payload(self, built):
         flat = FlatIndex.from_index(built)

@@ -121,7 +121,10 @@ class TestCoalescer:
             f3 = coalescer.offer(3, 9, conn=conn_b)
             assert coalescer.depth == 3
             await coalescer.flush()
-            results = [f.result() for f in (f1, f2, f3)]
+            results = []
+            for f in (f1, f2, f3):
+                (result,) = f.result()  # one future, one-result list
+                results.append(result)
             await coalescer.close()
             return calls, results, stats
 
@@ -143,15 +146,74 @@ class TestCoalescer:
 
         async def scenario():
             coalescer = manual(Coalescer(runner, max_batch=2))
-            futures = coalescer.offer_many([(0, i) for i in range(1, 6)])
+            futures = [coalescer.offer(0, i) for i in range(1, 6)]
             answered = await coalescer.flush()
             await coalescer.close()
-            return answered, [f.result().distance for f in futures]
+            distances = []
+            for f in futures:
+                (result,) = f.result()
+                distances.append(result.distance)
+            return answered, distances
 
         answered, distances = sync(scenario())
         assert answered == 5
         assert sizes == [2, 2, 1]
         assert all(d is not None for d in distances)
+
+    def test_one_future_per_request_and_requests_are_never_split(self, app):
+        """A multi-pair request is one queue entry, one future, one call."""
+        sizes = []
+
+        def runner(pairs, with_path):
+            sizes.append(len(pairs))
+            return app.executor.run(pairs, with_path=with_path)
+
+        async def scenario():
+            coalescer = manual(Coalescer(runner, max_batch=2))
+            wide = [(0, i % 200 + 1) for i in range(64)]
+            futures = coalescer.offer_many(wide)
+            assert len(futures) == 1
+            assert len(coalescer._pending) == 1
+            assert coalescer._pending[0].future is futures[0]
+            assert coalescer.depth == 64  # limits still count pairs
+            await coalescer.flush()
+            results = futures[0].result()
+            assert [(r.source, r.target) for r in results] == wide
+            (five,) = coalescer.offer_many([(0, i) for i in range(1, 6)])
+            answered = await coalescer.flush()
+            await coalescer.close()
+            return answered, five.result()
+
+        answered, results = sync(scenario())
+        # max_batch=2 never splits a request: 64 pairs, then 5, one
+        # call each.
+        assert sizes == [64, 5]
+        assert answered == 5
+        assert [(r.source, r.target) for r in results] == [
+            (0, i) for i in range(1, 6)
+        ]
+
+    def test_flush_takes_whole_requests_up_to_max_batch(self, app):
+        sizes = []
+
+        def runner(pairs, with_path):
+            sizes.append(list(pairs))
+            return app.executor.run(pairs, with_path=with_path)
+
+        async def scenario():
+            coalescer = manual(Coalescer(runner, max_batch=4))
+            futures = [
+                coalescer.offer_many(pairs)[0]
+                for pairs in ([(0, 1), (0, 2)], [(0, 3)], [(0, 4), (0, 5)])
+            ]
+            await coalescer.flush()
+            await coalescer.close()
+            return [[r.target for r in f.result()] for f in futures]
+
+        targets = sync(scenario())
+        # 2 + 1 fit under 4; the next 2-pair request would overflow it.
+        assert sizes == [[(0, 1), (0, 2), (0, 3)], [(0, 4), (0, 5)]]
+        assert targets == [[1, 2], [3], [4, 5]]
 
     def test_path_lanes_are_separate_executor_calls(self, app):
         lanes = []
@@ -166,7 +228,9 @@ class TestCoalescer:
             pathy = coalescer.offer(0, 9, with_path=True)
             await coalescer.flush()
             await coalescer.close()
-            return plain.result(), pathy.result()
+            (plain_result,) = plain.result()
+            (path_result,) = pathy.result()
+            return plain_result, path_result
 
         plain, pathy = sync(scenario())
         assert lanes == [(1, False), (1, True)]
@@ -214,11 +278,14 @@ class TestCoalescer:
         async def scenario():
             coalescer = manual(Coalescer(runner))
             futures = coalescer.offer_many([(0, 1), (0, 2)])
+            futures.append(coalescer.offer(0, 3))
             await coalescer.flush()
             await coalescer.close()
             return [f.result() for f in futures]
 
         markers = sync(scenario())
+        # One marker per request (not per pair), for every request.
+        assert len(markers) == 2
         assert all(str(m.exc) == "backend down" for m in markers)
 
     def test_lone_request_answers_without_manual_drive(self, app):
@@ -227,7 +294,7 @@ class TestCoalescer:
                 lambda pairs, wp: app.executor.run(pairs, with_path=wp)
             )
             future = coalescer.offer(0, 5)
-            result = await asyncio.wait_for(future, 5)
+            (result,) = await asyncio.wait_for(future, 5)
             await coalescer.close()
             return result
 
@@ -293,6 +360,25 @@ class TestTcpServing:
         assert path[0] == 0 and path[-1] == 9
         assert len(path) == pathy["distance"] + 1
         assert quit_ack == {"ok": True}
+
+    def test_empty_pair_list_answers_empty_results(self, app):
+        async def scenario():
+            async with _ManualServer(app, manual_flush=False) as harness:
+                reader, writer = await harness.connect()
+                await send(writer, {"pairs": []})
+                await send(writer, {"pairs": [], "deadline_ms": 250.0})
+                await send(writer, {"s": 0, "t": 5})
+                empty = await recv(reader)
+                bounded = await recv(reader)
+                after = await recv(reader)
+                depth = harness.server.coalescer.depth
+            return empty, bounded, after, depth
+
+        empty, bounded, after, depth = sync(scenario())
+        assert empty == {"results": []}
+        assert bounded == {"results": []}
+        assert after["distance"] is not None  # the connection kept serving
+        assert depth == 0
 
     def test_cross_client_requests_fold_into_one_batch(self, app):
         async def scenario():

@@ -354,7 +354,7 @@ class TestCoalescerDeadlines:
         calls, expired, alive = sync(scenario())
         assert calls == [[(2, 3)]]
         assert isinstance(expired, _DeadlineMiss) and expired.stage == "dispatch"
-        assert alive is None  # the stub runner's answer, delivered
+        assert alive == [None]  # the stub runner's answer, delivered
 
     def test_deadline_lane_carries_budget_and_others_do_not(self):
         async def scenario():
@@ -461,7 +461,7 @@ class TestLadderResponses:
             clock = FakeClock()
             deadline = Deadline(0.005, clock=clock)
             future = asyncio.get_running_loop().create_future()
-            future.set_result(app.executor.query(0, 5))
+            future.set_result([app.executor.query(0, 5)])
             clock.advance(0.050)  # the batch took 50 ms against a 5 ms budget
             response = await server._await_single(
                 future, False, conn=conn, pair=(0, 5), deadline=deadline

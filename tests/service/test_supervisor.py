@@ -409,13 +409,13 @@ class TestRetryAfterFloor:
     def test_warm_estimate_still_tracks_queue(self):
         coalescer = self._coalescer()
         coalescer._ewma_item_s = 0.010
-        coalescer._pending.extend([None] * 20)  # depth 20 @ 10 ms/item
+        coalescer._queued_pairs = 20  # depth 20 @ 10 ms/item
         assert coalescer.retry_after_ms() == 200
 
     def test_cap_unchanged(self):
         coalescer = self._coalescer()
         coalescer._ewma_item_s = 10.0
-        coalescer._pending.extend([None] * 100)
+        coalescer._queued_pairs = 100
         assert coalescer.retry_after_ms() == 5000
 
 
