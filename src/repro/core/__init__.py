@@ -37,7 +37,7 @@ from repro.core.directed import DirectedQueryResult, DirectedVicinityOracle
 from repro.core.parallel import PartitionedOracle, ShardReport, build_flat_store
 from repro.core.dynamic import DynamicVicinityOracle
 from repro.core.flat import FlatIndex, flatten_index
-from repro.core.engine import FlatQueryEngine, QueryEngine, ShardQueryEngine
+from repro.core.engine import Answers, FlatQueryEngine, QueryEngine, ShardQueryEngine
 
 __all__ = [
     "OracleConfig",
@@ -50,6 +50,7 @@ __all__ = [
     "VicinityIndex",
     "VicinityOracle",
     "QueryResult",
+    "Answers",
     "METHODS",
     "CHEAP_METHODS",
     "EXPENSIVE_METHODS",

@@ -75,7 +75,7 @@ _DISCONNECTED = METHOD_CODE["disconnected"]
 _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 
-def _fresh_columns(m):
+def fresh_columns(m):
     """Result columns for ``m`` unanswered pairs: float64 distances
     (NaN), uint8 method codes, int64 witnesses (-1) and probes."""
     return (
@@ -89,38 +89,119 @@ def _fresh_columns(m):
 _SHARD_KERNEL = _native.KERNEL_CODES["boundary-source"]
 
 
-def results_from_columns(
-    arr, dist, method, witness, probes, integral,
-    result_cls=QueryResult, path_of=None,
-):
-    """Result objects from the four result columns of a pair array.
+class Answers:
+    """One batch's answers as parallel columns, in pair order.
 
-    NaN distances become ``None``, ``identical`` answers ``0``, other
-    distances ``int`` on integral stores and ``float`` otherwise — the
-    typing of the object lanes and of the wire decoder.  ``path_of``,
-    when given, maps ``(source, target, method_code, witness)`` to the
-    path of every answered pair.
+    The serving path carries this bundle from the resolver's C call to
+    the socket without building a :class:`QueryResult` per pair:
+
+    * ``s`` / ``t`` — the queried pairs;
+    * ``dist`` — typed distances: ``None`` when unanswered, ``0`` for
+      ``identical``, ``int`` on integral stores, ``float`` otherwise
+      (exactly the values the result objects carry);
+    * ``method`` — method codes (indices into
+      :data:`~repro.core.oracle.METHODS`);
+    * ``witness`` — intersection witness, ``-1`` for none;
+    * ``probes`` — probe counts;
+    * ``paths`` — ``None``, or one path (or ``None``) per row.
+
+    Slicing yields a bundle over the same rows; :meth:`results` is the
+    object edge of the library API.
     """
-    names = METHODS
-    results = []
-    append = results.append
-    for (s, t), d, code, w, p in zip(
-        arr.tolist(), dist.tolist(), method.tolist(),
-        witness.tolist(), probes.tolist(),
-    ):
-        if d != d:  # NaN: miss or disconnected
-            value = None
-        elif code == _IDENTICAL:
-            value = 0
-        else:
-            value = int(d) if integral else d
-        path = None
-        if path_of is not None and value is not None:
-            path = path_of(s, t, code, w)
-        append(result_cls(
-            s, t, value, path, names[code], None if w < 0 else w, p
-        ))
-    return results
+
+    __slots__ = ("s", "t", "dist", "method", "witness", "probes", "paths")
+
+    def __init__(self, s, t, dist, method, witness, probes, paths=None) -> None:
+        self.s = s
+        self.t = t
+        self.dist = dist
+        self.method = method
+        self.witness = witness
+        self.probes = probes
+        self.paths = paths
+
+    def __len__(self) -> int:
+        return len(self.s)
+
+    def __getitem__(self, rows: slice) -> "Answers":
+        paths = self.paths
+        return Answers(
+            self.s[rows], self.t[rows], self.dist[rows], self.method[rows],
+            self.witness[rows], self.probes[rows],
+            None if paths is None else paths[rows],
+        )
+
+    def take(self, rows) -> "Answers":
+        """A bundle of the rows at the indices ``rows``, in that order."""
+        paths = self.paths
+        return Answers(
+            *([column[i] for i in rows] for column in (
+                self.s, self.t, self.dist, self.method, self.witness,
+                self.probes,
+            )),
+            None if paths is None else [paths[i] for i in rows],
+        )
+
+    @classmethod
+    def empty(cls) -> "Answers":
+        return cls([], [], [], [], [], [])
+
+    @classmethod
+    def from_columns(
+        cls, arr, dist, method, witness, probes, integral, paths=None
+    ) -> "Answers":
+        """A bundle from an ``(m, 2)`` pair array and the four numpy
+        result columns (NaN distances and ``-1`` witnesses where unset)."""
+        codes = method.tolist()
+        return cls(
+            arr[:, 0].tolist(), arr[:, 1].tolist(),
+            _typed_distances(dist.tolist(), codes, integral), codes,
+            witness.tolist(), probes.tolist(), paths,
+        )
+
+    @classmethod
+    def from_results(cls, results) -> "Answers":
+        """The columns of a result list (for object-only backends)."""
+        codes = METHOD_CODE
+        paths = [r.path for r in results]
+        return cls(
+            [r.source for r in results],
+            [r.target for r in results],
+            [r.distance for r in results],
+            [codes[r.method] for r in results],
+            [-1 if r.witness is None else r.witness for r in results],
+            [r.probes for r in results],
+            paths if any(p is not None for p in paths) else None,
+        )
+
+    def results(self, result_cls=QueryResult) -> list[QueryResult]:
+        """One result object per row, in order."""
+        names = METHODS
+        paths = self.paths if self.paths is not None else [None] * len(self.s)
+        return [
+            result_cls(s, t, d, path, names[code], None if w < 0 else w, p)
+            for s, t, d, code, w, p, path in zip(
+                self.s, self.t, self.dist, self.method, self.witness,
+                self.probes, paths,
+            )
+        ]
+
+
+def _typed_distances(dist, method, integral):
+    """Python distances from a float64 column's values: ``None`` for
+    NaN (miss or disconnected), ``0`` for ``identical``, ``int`` on
+    integral stores and ``float`` otherwise — the typing of the object
+    lanes and of the wire decoder."""
+    identical = _IDENTICAL
+    if integral:
+        return [
+            None if d != d else 0 if code == identical else int(d)
+            for d, code in zip(dist, method)
+        ]
+    return [
+        None if d != d else 0 if code == identical else d
+        for d, code in zip(dist, method)
+    ]
 
 
 def _unique_pairs(arr, n):
@@ -159,6 +240,33 @@ class QueryEngine(Protocol):
         ...
 
 
+def _pair_array(pairs, n: int, check_node=None) -> np.ndarray:
+    """Validate a pair batch into an ``(m, 2)`` int64 array.
+
+    ``check_node`` raises the caller's canonical error for an invalid
+    node id (defaults to :class:`NodeNotFoundError`).
+    """
+    arr = None
+    if isinstance(pairs, list):
+        try:
+            arr = np.asarray(pairs, dtype=np.int64)
+        except (TypeError, ValueError):
+            pass
+    if arr is None or arr.ndim != 2 or arr.shape[1] != 2:
+        # Anything but a non-empty list of pairs: unpack pair by pair,
+        # which raises the usual errors for malformed input.
+        arr = np.asarray(
+            [(int(s), int(t)) for s, t in pairs], dtype=np.int64
+        ).reshape(-1, 2)
+    out_of_range = (arr < 0) | (arr >= n)
+    if out_of_range.any():
+        bad = int(arr[out_of_range][0])
+        if check_node is not None:
+            check_node(bad)
+        raise NodeNotFoundError(bad, n)
+    return arr
+
+
 def run_query_batch(
     engine: "FlatQueryEngine",
     pairs,
@@ -175,24 +283,16 @@ def run_query_batch(
     drift between them.
 
     Args:
-        engine: the resolver whose ``resolve_many`` runs the lanes.
+        engine: the resolver whose :meth:`~FlatQueryEngine.answer_array`
+            runs the lanes.
         check_node: raises the caller's canonical error for an invalid
             node id (defaults to :class:`NodeNotFoundError`).
         fallback: ``(source, target, probes, with_path) -> QueryResult``
             replacing ``miss`` results (``None`` = misses stand).
         record: per-result counter hook (``None`` = no counters).
     """
-    pair_list = [(int(s), int(t)) for s, t in pairs]
-    if not pair_list:
-        return []
-    arr = np.asarray(pair_list, dtype=np.int64)
-    out_of_range = (arr < 0) | (arr >= engine.n)
-    if out_of_range.any():
-        bad = int(arr[out_of_range][0])
-        if check_node is not None:
-            check_node(bad)
-        raise NodeNotFoundError(bad, engine.n)
-    results = engine.resolve_many(arr, with_path)
+    arr = _pair_array(pairs, engine.n, check_node)
+    results = engine.answer_array(arr, with_path).results(engine.result_cls)
     if fallback is None and record is None:
         return results
     # Fallback searches are the most expensive lane — keep the batch
@@ -309,8 +409,20 @@ class FlatQueryEngine:
 
     def query_batch(self, pairs, *, with_path: bool = False) -> list[QueryResult]:
         """Answer many pairs through the fused batch lanes, in order."""
+        return self.query_columns(pairs, with_path=with_path).results(
+            self.result_cls
+        )
+
+    def query_columns(
+        self, pairs, *, with_path: bool = False, budget_s=None
+    ) -> Answers:
+        """Answer many pairs as one :class:`Answers` bundle, in order.
+
+        ``budget_s`` is part of the serving backend contract and is
+        ignored here: a single-machine scan cannot be preempted.
+        """
         self._check_paths(with_path)
-        return run_query_batch(self, pairs, with_path)
+        return self.answer_array(_pair_array(pairs, self.n), with_path)
 
     def _check_paths(self, with_path: bool) -> None:
         if with_path and self.strict_paths and not self.store_paths:
@@ -445,14 +557,55 @@ class FlatQueryEngine:
     # ------------------------------------------------------------------
     # fused batch resolution
     # ------------------------------------------------------------------
-    def resolve_many(self, arr: np.ndarray, with_path: bool) -> list[QueryResult]:
-        """Resolve a validated ``(m, 2)`` pair array through fused lanes.
+    def answer_array(self, arr: np.ndarray, with_path: bool) -> Answers:
+        """Answer a validated ``(m, 2)`` pair array as one bundle.
 
-        Per-pair results are identical to :meth:`resolve`.  On the
-        native tier the distinct pairs run as one C call writing result
-        columns; ``with_path`` then walks each answered pair's chains
-        from its method and witness.  The numpy tier's lanes differ only
-        in how much work is shared:
+        On the native tier the distinct pairs run as one C call writing
+        result columns, which become the bundle's lists with one
+        ``tolist()`` each; ``with_path`` then walks each answered pair's
+        chains from its method and witness.  The numpy tier runs the
+        lanes of :meth:`resolve_many`.
+        """
+        m = arr.shape[0]
+        if m == 0:
+            return Answers.empty()
+        # Batch-level pair fusion: a repeated pair is the same kernel
+        # run, so each distinct pair is resolved once and its row fanned
+        # out to every occurrence (probes and all — identical to what
+        # the per-pair loop produces for each duplicate).
+        if m > 1:
+            uniq, inverse = _unique_pairs(arr, self.n)
+            if uniq.shape[0] < m:
+                return self.answer_array(uniq, with_path).take(inverse.tolist())
+        if self._native_columns is not None:
+            # The C loop writes every row of all four columns.
+            dist, method, witness, probes = (
+                np.empty(m), np.empty(m, dtype=np.uint8),
+                np.empty(m, dtype=np.int64), np.empty(m, dtype=np.int64),
+            )
+            # False: an inconsistent store — the numpy lanes raise.
+            if self._native_columns(arr, dist, method, witness, probes):
+                answers = Answers.from_columns(
+                    arr, dist, method, witness, probes, self._integral
+                )
+                if with_path:
+                    path_of = self._path_of
+                    answers.paths = [
+                        None if d is None else path_of(s, t, code, w)
+                        for s, t, d, code, w in zip(
+                            answers.s, answers.t, answers.dist,
+                            answers.method, answers.witness,
+                        )
+                    ]
+                return answers
+        return Answers.from_results(self.resolve_many(arr, with_path))
+
+    def resolve_many(self, arr: np.ndarray, with_path: bool) -> list[QueryResult]:
+        """Resolve a validated, duplicate-free ``(m, 2)`` pair array
+        through the numpy tier's fused lanes.
+
+        Per-pair results are identical to :meth:`resolve`; the lanes
+        differ only in how much work is shared:
 
         * ``s == t`` short-circuits on one vectorised compare;
         * conditions (1)/(2) gather every landmark table distance in
@@ -466,24 +619,6 @@ class FlatQueryEngine:
         out, inn = self.out, self.inn
         rc = self.result_cls
         m = arr.shape[0]
-        # Batch-level pair fusion: a production (Zipf) stream repeats
-        # pairs heavily, and a repeated pair is the same kernel run.
-        # Resolve each distinct pair once and fan the result object out
-        # to every occurrence (probes and all — identical to what the
-        # per-pair loop would have produced for each duplicate).
-        if m > 1:
-            uniq, inverse = _unique_pairs(arr, self.n)
-            if uniq.shape[0] < m:
-                resolved = self.resolve_many(uniq, with_path)
-                return [resolved[i] for i in inverse.tolist()]
-        if self._native_columns is not None:
-            columns = _fresh_columns(m)
-            # False: an inconsistent store — the numpy lanes raise.
-            if self._native_columns(arr, *columns):
-                return results_from_columns(
-                    arr, *columns, self._integral, rc,
-                    self._path_of if with_path else None,
-                )
         sources, targets = arr[:, 0], arr[:, 1]
         results: list[Optional[QueryResult]] = [None] * m
 
@@ -828,10 +963,10 @@ class ShardQueryEngine:
         dist, method, witness, probes, local, remote, trips = (
             self.answer_columns(arr)
         )
-        results = results_from_columns(
+        answers = Answers.from_columns(
             arr, dist, method, witness, probes, self.flat._integral
         )
-        return results, local, remote, trips.tolist()
+        return answers.results(), local, remote, trips.tolist()
 
     # ------------------------------------------------------------------
     # the column-native lane (what the wire frames carry)
@@ -943,7 +1078,7 @@ class ShardQueryEngine:
         refilled with the same initial values — byte-identical frames
         without a per-frame allocation."""
         if self._scratch is None:
-            return _fresh_columns(m)
+            return fresh_columns(m)
         buf = self._scratch
         if not buf or buf[0].size < m:
             cap = max(m, 256)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
+from repro.core.engine import Answers
 from repro.core.index import VicinityIndex
 from repro.core.oracle import QueryResult
 from repro.core.parallel import MessageLog, ShardReport
@@ -72,7 +73,14 @@ class ShardBackend(Protocol):
     def query(self, source: int, target: int, *, with_path: bool = False) -> QueryResult:
         ...
 
-    def query_batch(self, pairs, *, with_path: bool = False) -> list[QueryResult]:
+    def query_batch(
+        self, pairs, *, with_path: bool = False, budget_s=None
+    ) -> list[QueryResult]:
+        ...
+
+    def query_columns(
+        self, pairs, *, with_path: bool = False, budget_s=None
+    ) -> Answers:
         ...
 
     def shard_reports(self) -> list[ShardReport]:

@@ -22,15 +22,42 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.core.oracle import EXPENSIVE_METHODS, QueryResult
+from repro.core.oracle import EXPENSIVE_METHODS, METHODS, Distance, QueryResult
 from repro.exceptions import QueryError
 
 #: Default maximum number of cached pairs.
 DEFAULT_CAPACITY = 65536
+
+
+class CacheEntry(NamedTuple):
+    """One stored answer, in key orientation.
+
+    The fields (and their order) are :class:`QueryResult`'s, so
+    ``QueryResult(*entry)`` rebuilds the result, but an entry is a plain
+    tuple: the batch path stores and reads rows without building result
+    objects.
+    """
+
+    source: int
+    target: int
+    distance: Optional[Distance]
+    path: Optional[list]
+    method: str
+    witness: Optional[int]
+    probes: int
+
+
+def _mirrored(entry: CacheEntry) -> CacheEntry:
+    """``entry`` reoriented, as :meth:`QueryResult.mirrored` does it."""
+    path = entry.path
+    return CacheEntry(
+        entry.target, entry.source, entry.distance,
+        None if path is None else path[::-1], entry.method, entry.witness, 0,
+    )
 
 
 class _FrequencySketch:
@@ -77,7 +104,12 @@ class _FrequencySketch:
 
 
 class ResultCache:
-    """LRU cache over canonical node pairs, storing full query results.
+    """LRU cache over canonical node pairs, storing full query answers.
+
+    Entries are :class:`CacheEntry` rows.  :meth:`get`/:meth:`put` are
+    the per-pair object API; :meth:`get_many`/:meth:`put_many` serve a
+    whole batch under one lock acquisition with the same per-key
+    semantics, reading and writing rows without result objects.
 
     Attributes:
         capacity: maximum entries held; least-recently-used eviction.
@@ -138,11 +170,12 @@ class ResultCache:
         self.admission = admission
         self.ttl = ttl
         self.ttls = dict(ttls or {})
+        self._timed = ttl is not None or bool(self.ttls)
         self.clock = clock
         self._expiry: dict[tuple[int, int], float] = {}
         self._sketch = _FrequencySketch(capacity) if admission == "tinylfu" else None
-        self._entries: "OrderedDict[tuple[int, int], QueryResult]" = OrderedDict()
-        self._probation: "Optional[OrderedDict[tuple[int, int], QueryResult]]" = None
+        self._entries: "OrderedDict[tuple[int, int], CacheEntry]" = OrderedDict()
+        self._probation: "Optional[OrderedDict[tuple[int, int], CacheEntry]]" = None
         self.probation_capacity = 0
         self.protected_capacity = capacity
         if admission == "2q" and capacity >= 2:
@@ -182,6 +215,8 @@ class ResultCache:
 
     def _stamp(self, key: tuple[int, int], method: str) -> None:
         """Set (or clear) the expiry deadline for a just-stored entry."""
+        if not self._timed:
+            return  # no TTLs configured: nothing ever expires
         life = self._ttl_for(method)
         if life is not None:
             self._expiry[key] = self.clock() + life
@@ -215,40 +250,61 @@ class ResultCache:
             A :class:`QueryResult` whose ``source``/``target`` match the
             arguments, or ``None`` on a miss.
         """
-        key = self._key(source, target)
         with self._lock:
-            if self._sketch is not None:
-                # Every lookup feeds the frequency sketch — misses too:
-                # admission must see demand, not just what is stored.
-                self._sketch.touch(key)
-            self._drop_if_expired(key)
-            entry = self._entries.get(key)
-            if entry is not None:
-                if need_path and entry.path is None:
-                    self.misses += 1
-                    return None
-                self._entries.move_to_end(key)
-                self.hits += 1
-            else:
-                if self._probation is not None:
-                    probed = self._probation.get(key)
-                    if probed is not None and not (
-                        need_path and probed.path is None
-                    ):
-                        # Second touch while on probation: promote into
-                        # the protected LRU.
-                        del self._probation[key]
-                        self._promote(key, probed)
-                        entry = probed
-                if entry is None:
-                    self.misses += 1
-                    return None
-                self.hits += 1
+            entry = self._lookup(self._key(source, target), need_path)
+        if entry is None:
+            return None
+        result = QueryResult(*entry)
         if entry.source == source and entry.target == target:
-            return entry
-        return entry.mirrored()
+            return result
+        return result.mirrored()
 
-    def _promote(self, key: tuple[int, int], entry: QueryResult) -> None:
+    def get_many(self, pairs, *, need_path: bool = False) -> list:
+        """Look up a batch of pairs under one lock acquisition.
+
+        Each pair is one :meth:`get` — the same hit/miss, promotion,
+        expiry and sketch accounting, in order — but the answers are the
+        stored :class:`CacheEntry` rows in *key* orientation (see
+        :meth:`canonical`), or ``None`` per miss: no result object is
+        built.
+        """
+        symmetric = self.symmetric
+        lookup = self._lookup
+        with self._lock:
+            return [
+                lookup((t, s) if symmetric and s > t else (s, t), need_path)
+                for s, t in pairs
+            ]
+
+    def _lookup(self, key: tuple[int, int], need_path: bool):
+        """One lookup's accounting and LRU update (lock held)."""
+        if self._sketch is not None:
+            # Every lookup feeds the frequency sketch — misses too:
+            # admission must see demand, not just what is stored.
+            self._sketch.touch(key)
+        if self._expiry:
+            self._drop_if_expired(key)
+        entry = self._entries.get(key)
+        if entry is not None:
+            if need_path and entry.path is None:
+                self.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.hits += 1
+            return entry
+        if self._probation is not None:
+            probed = self._probation.get(key)
+            if probed is not None and not (need_path and probed.path is None):
+                # Second touch while on probation: promote into the
+                # protected LRU.
+                del self._probation[key]
+                self._promote(key, probed)
+                self.hits += 1
+                return probed
+        self.misses += 1
+        return None
+
+    def _promote(self, key: tuple[int, int], entry: CacheEntry) -> None:
         """Move a probation entry into the protected LRU (lock held)."""
         self._entries[key] = entry
         self._entries.move_to_end(key)
@@ -278,70 +334,108 @@ class ResultCache:
         if result.method not in self.cacheable:
             self.rejected += 1
             return False
-        key = self._key(result.source, result.target)
-        entry = result if (result.source, result.target) == key else result.mirrored()
+        entry = CacheEntry(
+            result.source, result.target, result.distance, result.path,
+            result.method, result.witness, result.probes,
+        )
         with self._lock:
-            if self._sketch is not None:
-                self._sketch.touch(key)
+            return self._store(entry)
+
+    def put_many(self, answers) -> int:
+        """Offer every row of an :class:`~repro.core.engine.Answers`
+        bundle under one lock acquisition; returns how many were stored.
+
+        Each row is one :meth:`put` — the same admission, probation,
+        path-preservation, TTL and eviction accounting, in order — with
+        the row's method code named through
+        :data:`~repro.core.oracle.METHODS`; no result object is built.
+        """
+        names = METHODS
+        cacheable = self.cacheable
+        paths = answers.paths
+        new_entry = tuple.__new__  # CacheEntry(...) without its Python __new__
+        stored = 0
+        with self._lock:
+            for i, code in enumerate(answers.method):
+                method = names[code]
+                if method not in cacheable:
+                    self.rejected += 1
+                    continue
+                witness = answers.witness[i]
+                stored += self._store(new_entry(CacheEntry, (
+                    answers.s[i], answers.t[i], answers.dist[i],
+                    None if paths is None else paths[i], method,
+                    None if witness < 0 else witness, answers.probes[i],
+                )))
+        return stored
+
+    def _store(self, entry: CacheEntry) -> bool:
+        """Admit one cacheable entry (lock held); see :meth:`put`."""
+        if self.symmetric and entry.source > entry.target:
+            entry = _mirrored(entry)
+        key = (entry.source, entry.target)
+        if self._sketch is not None:
+            self._sketch.touch(key)
+        if self._expiry:
             self._drop_if_expired(key)
-            known = self._entries.get(key)
-            if known is not None:
-                if (
-                    known.path is not None
-                    and entry.path is None
-                    and known.distance == entry.distance
-                ):
-                    self._entries.move_to_end(key)
-                    self._stamp(key, known.method)
-                    self.path_preserved += 1
-                    return True
-                self._entries[key] = entry
+        known = self._entries.get(key)
+        if known is not None:
+            if (
+                known.path is not None
+                and entry.path is None
+                and known.distance == entry.distance
+            ):
                 self._entries.move_to_end(key)
-                self._stamp(key, entry.method)
+                self._stamp(key, known.method)
+                self.path_preserved += 1
                 return True
-            if self._probation is not None:
-                probed = self._probation.get(key)
-                if probed is not None:
-                    # Second offer while on probation: promote, keeping
-                    # the richer stored entry on equal distances.
-                    if (
-                        probed.path is not None
-                        and entry.path is None
-                        and probed.distance == entry.distance
-                    ):
-                        entry = probed
-                        self.path_preserved += 1
-                    del self._probation[key]
-                    self._promote(key, entry)
-                    self._stamp(key, entry.method)
-                    return True
-                self._probation[key] = entry
-                self._stamp(key, entry.method)
-                self.insertions += 1
-                if len(self._probation) > self.probation_capacity:
-                    evicted_key, _ = self._probation.popitem(last=False)
-                    self._expiry.pop(evicted_key, None)
-                    self.evictions += 1
-                return True
-            if self._sketch is not None and len(self._entries) >= self.capacity:
-                # TinyLFU admission: a newcomer enters a full cache only
-                # by out-counting the LRU victim in the sketch — ties
-                # keep the incumbent, so one-hit wonders bounce off.
-                victim = next(iter(self._entries))
-                if self._sketch.estimate(key) <= self._sketch.estimate(victim):
-                    self.denied += 1
-                    return False
-                del self._entries[victim]
-                self._expiry.pop(victim, None)
-                self.evictions += 1
             self._entries[key] = entry
             self._entries.move_to_end(key)
             self._stamp(key, entry.method)
+            return True
+        if self._probation is not None:
+            probed = self._probation.get(key)
+            if probed is not None:
+                # Second offer while on probation: promote, keeping the
+                # richer stored entry on equal distances.
+                if (
+                    probed.path is not None
+                    and entry.path is None
+                    and probed.distance == entry.distance
+                ):
+                    entry = probed
+                    self.path_preserved += 1
+                del self._probation[key]
+                self._promote(key, entry)
+                self._stamp(key, entry.method)
+                return True
+            self._probation[key] = entry
+            self._stamp(key, entry.method)
             self.insertions += 1
-            if len(self._entries) > self.capacity:
-                evicted_key, _ = self._entries.popitem(last=False)
+            if len(self._probation) > self.probation_capacity:
+                evicted_key, _ = self._probation.popitem(last=False)
                 self._expiry.pop(evicted_key, None)
                 self.evictions += 1
+            return True
+        if self._sketch is not None and len(self._entries) >= self.capacity:
+            # TinyLFU admission: a newcomer enters a full cache only by
+            # out-counting the LRU victim in the sketch — ties keep the
+            # incumbent, so one-hit wonders bounce off.
+            victim = next(iter(self._entries))
+            if self._sketch.estimate(key) <= self._sketch.estimate(victim):
+                self.denied += 1
+                return False
+            del self._entries[victim]
+            self._expiry.pop(victim, None)
+            self.evictions += 1
+        self._entries[key] = entry
+        self._entries.move_to_end(key)
+        self._stamp(key, entry.method)
+        self.insertions += 1
+        if len(self._entries) > self.capacity:
+            evicted_key, _ = self._entries.popitem(last=False)
+            self._expiry.pop(evicted_key, None)
+            self.evictions += 1
         return True
 
     # ------------------------------------------------------------------
@@ -379,7 +473,7 @@ class ResultCache:
             snapshot = list(self._entries.items())
             if self._probation is not None:
                 snapshot.extend(self._probation.items())
-        stale_keys = [key for key, entry in snapshot if stale(entry)]
+        stale_keys = [key for key, entry in snapshot if stale(QueryResult(*entry))]
         if not stale_keys:
             return 0
         evicted = 0

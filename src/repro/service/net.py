@@ -7,12 +7,13 @@ service many concurrent clients can hit, built around three ideas:
 * **coalescing** (:class:`Coalescer`): a request arriving at an idle
   server dispatches on the next event-loop turn; requests arriving
   while a batch executes are folded into the *next* single
-  :meth:`BatchExecutor.run <repro.service.batch.BatchExecutor.run>`
+  :meth:`BatchExecutor.answer <repro.service.batch.BatchExecutor.answer>`
   call (up to a max-batch threshold), regardless of which connection
   they came from.  Cross-client traffic therefore gets the executor's
   dedup/symmetry folding and the flat engine's fused batch kernels for
-  free; responses are demultiplexed back to each connection in that
-  connection's request order.
+  free; each request's rows of the answer columns are encoded straight
+  into its response line and demultiplexed back to each connection in
+  that connection's request order.
 * **admission control + backpressure**: the pending queue is bounded.
   Past the *soft* limit new requests are answered immediately with
   ``{"error": "overloaded", "retry_after_ms": ...}`` — or, in degrade
@@ -45,7 +46,6 @@ extended with ``{"cmd": "reload"}`` — and a minimal HTTP/1.1 facade
 from __future__ import annotations
 
 import asyncio
-import inspect
 import random
 import time
 from functools import partial
@@ -53,17 +53,25 @@ from typing import Awaitable, Callable, Optional, Union
 
 import numpy as np
 
+from repro.core.engine import Answers
+from repro.core.oracle import METHOD_CODE
 from repro.exceptions import QueryError, ReproError
 from repro.service.protocol import (
     MAX_BODY_BYTES,
     ProtocolError,
+    answer_line,
+    answers_line,
     decode_json_line,
     http_response,
+    json_body,
     json_line,
     parse_http_head,
     validate_deadline_ms,
 )
-from repro.service.server import ServiceApp, encode_result
+# ``encode_result`` stays importable from this module: it is the public
+# single-result encoder, and outside-in tools (perfbench's tracer) wrap
+# it here by name.
+from repro.service.server import ServiceApp, encode_result  # noqa: F401
 from repro.service.slo import Deadline, SloConfig, SloController
 from repro.service.telemetry import LatencyHistogram
 
@@ -82,6 +90,8 @@ RETRY_AFTER_FLOOR_MS = 25
 
 #: Sentinel closing a connection's response queue.
 _CONN_DONE = object()
+
+_ESTIMATE = METHOD_CODE["estimate"]
 
 
 class _BatchError:
@@ -115,8 +125,10 @@ class _DeadlineMiss:
 class _Request:
     """One admitted client request waiting in the coalescing queue.
 
-    ``future`` resolves once, to the request's in-order result list or
-    to a single :class:`_BatchError`/:class:`_DeadlineMiss` marker.
+    ``future`` resolves once, to the request's rows of what the runner
+    returned (an :class:`~repro.core.engine.Answers` slice in
+    production) or to a single :class:`_BatchError`/:class:`_DeadlineMiss`
+    marker.
     """
 
     __slots__ = ("pairs", "with_path", "future", "enqueued", "conn", "deadline")
@@ -168,6 +180,20 @@ def landmark_estimator(app: ServiceApp) -> Optional[Callable]:
         return (int(best) if integral else best), k
 
     return estimate
+
+
+def _estimates(estimator: Callable, pairs) -> Answers:
+    """The estimator's answers for ``pairs``, as an ``estimate`` bundle."""
+    dists, probes = [], []
+    for s, t in pairs:
+        distance, count = estimator(s, t)
+        dists.append(distance)
+        probes.append(count)
+    k = len(pairs)
+    return Answers(
+        [s for s, _ in pairs], [t for _, t in pairs], dists,
+        [_ESTIMATE] * k, [-1] * k, probes,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -282,9 +308,8 @@ class NetStats:
             self.cross_client_flushes += 1
         for wait in waits:
             self.queue_wait.observe(wait)
-        share = elapsed / size if size else 0.0
-        for _ in range(size):
-            self.service_time.observe(share)
+        if size:
+            self.service_time.observe(elapsed / size, count=size)
 
     # -- reporting -------------------------------------------------------
     def snapshot(self, *, queue: Optional[dict] = None, top: int = 8) -> dict:
@@ -341,9 +366,16 @@ class Coalescer:
     """Fold requests from many connections into single executor calls.
 
     Args:
-        runner: ``runner(pairs, with_path) -> list[QueryResult]`` — in
-            production a closure over the server's *current* app, so a
-            hot reload redirects every flush after the swap.
+        runner: ``runner(pairs, with_path, *, budget_s=None)`` returning
+            one row per pair in a sliceable sequence — in production
+            :meth:`BatchExecutor.answer
+            <repro.service.batch.BatchExecutor.answer>` on the server's
+            *current* app (so a hot reload redirects every flush after
+            the swap), returning an
+            :class:`~repro.core.engine.Answers` bundle.  The coalescer
+            only slices it: each request's future resolves to its own
+            rows.  ``budget_s`` is passed only to lanes of
+            deadline-carrying requests.
         max_batch: pairs per executor call; larger drains are chunked
             into whole requests of at most this many pairs.  A request
             is never split: one larger than ``max_batch`` runs alone.
@@ -400,7 +432,6 @@ class Coalescer:
         self.stats = stats
         self.slo = slo
         self.clock = clock
-        self._runner_takes_budget = _accepts_budget(runner)
         self._pending: list[_Request] = []
         self._queued_pairs = 0  # pairs across _pending
         self._in_flight = 0
@@ -421,8 +452,8 @@ class Coalescer:
     def offer(
         self, s: int, t: int, *, with_path: bool = False, conn=None, deadline=None
     ):
-        """Admit one pair; returns its future (resolving to a one-result
-        list or a marker), or ``None`` when overloaded."""
+        """Admit one pair; returns its future (resolving to its one row
+        or a marker), or ``None`` when overloaded."""
         admitted = self.offer_many(
             [(s, t)], with_path=with_path, conn=conn, deadline=deadline
         )
@@ -437,7 +468,7 @@ class Coalescer:
         admission would hand the client an unordered mix of answers and
         overload errors for a single request object.  Returns
         ``[future]``: one future for the whole request, resolving to its
-        in-order result list (or a single marker).  ``deadline`` (a
+        in-order rows (or a single marker).  ``deadline`` (a
         :class:`~repro.service.slo.Deadline`) rides with the request
         into dispatch.
         """
@@ -572,7 +603,7 @@ class Coalescer:
         for (with_path, bounded), lane in lanes.items():
             pairs = [pair for r in lane for pair in r.pairs]
             call = partial(self.runner, pairs, with_path)
-            if bounded and self._runner_takes_budget:
+            if bounded:
                 # The lane runs under its tightest member's residual
                 # budget — looser members only ever get *more* time.
                 tightest = min(r.deadline.remaining() for r in lane)
@@ -630,10 +661,12 @@ class Coalescer:
             self._pool = None
 
 
-#: What a routed request yields: a ready response, a lazily-computed
-#: one (commands whose effects must order after earlier responses), or
-#: a coroutine awaiting coalesced futures.
-_Payload = Union[dict, Callable[[], dict], Awaitable[dict]]
+#: What a routed request yields: a ready response (an encoded answer
+#: line or a response object), a lazily-computed one (commands whose
+#: effects must order after earlier responses), or a coroutine awaiting
+#: coalesced futures.
+_Response = Union[bytes, dict]
+_Payload = Union[_Response, Callable[[], _Response], Awaitable[_Response]]
 
 
 # ----------------------------------------------------------------------
@@ -734,7 +767,9 @@ class NetServer:
     def _run_batch(self, pairs, with_path, *, budget_s=None):
         # Reads self.app at call time: after a reload swap, queued
         # requests are answered by the new app.
-        return self.app.executor.run(pairs, with_path=with_path, budget_s=budget_s)
+        return self.app.executor.answer(
+            pairs, with_path=with_path, budget_s=budget_s
+        )
 
     async def start(self) -> tuple[str, int]:
         """Bind and start accepting; returns the actual ``(host, port)``."""
@@ -864,21 +899,24 @@ class NetServer:
         mmap = request.get("mmap")
         return self.reload(path, mmap=None if mmap is None else bool(mmap)), True
 
-    def _validate(self, s: int, t: int) -> None:
+    def _validate(self, pairs) -> None:
         # Validation must happen before admission: a bad pair inside a
         # coalesced batch would fail the whole executor call and take
         # innocent co-batched requests down with it.
         n = self.app.n
-        for u in (s, t):
-            if not 0 <= u < n:
-                raise QueryError(f"node {u} is not in the graph (valid range: 0..{n - 1})")
+        for pair in pairs:
+            for u in pair:
+                if not 0 <= u < n:
+                    raise QueryError(
+                        f"node {u} is not in the graph (valid range: 0..{n - 1})"
+                    )
 
     def _admit_single(self, conn: ConnStats, request) -> _Payload:
         try:
             s, t = int(request["s"]), int(request["t"])
             with_path = bool(request.get("path", False))
             deadline_ms = validate_deadline_ms(request.get("deadline_ms"))
-            self._validate(s, t)
+            self._validate(((s, t),))
         except (ReproError, ValueError, TypeError, OverflowError) as exc:
             conn.errors += 1
             self.stats.errors += 1
@@ -911,12 +949,13 @@ class NetServer:
             pairs = [(int(s), int(t)) for s, t in request["pairs"]]
             with_path = bool(request.get("path", False))
             deadline_ms = validate_deadline_ms(request.get("deadline_ms"))
-            for s, t in pairs:
-                self._validate(s, t)
+            self._validate(pairs)
         except (ReproError, ValueError, TypeError, OverflowError) as exc:
             conn.errors += 1
             self.stats.errors += 1
             return {"error": str(exc)}
+        if not pairs:
+            return answers_line(Answers.empty(), with_path)
         deadline = self.slo.deadline_for(deadline_ms)
         if deadline is not None:
             rung = self.slo.admit(deadline, self.coalescer.depth)
@@ -954,21 +993,16 @@ class NetServer:
         spread = 1.0 + self.retry_jitter * (2.0 * self._rng.random() - 1.0)
         return max(1, int(base * spread))
 
-    def _overloaded(self, conn: ConnStats, pairs, with_path: bool) -> dict:
+    def _overloaded(self, conn: ConnStats, pairs, with_path: bool) -> _Response:
         conn.overloads += 1
         self.stats.overloaded += 1
         # Degrade mode answers single distance-only queries: estimates
         # carry no path, and a batch mixing exact and estimated answers
         # would be indistinguishable from a correct response.
         if self._estimator is not None and not with_path and len(pairs) == 1:
-            (s, t), = pairs
-            distance, probes = self._estimator(s, t)
             conn.degraded += 1
             self.stats.degraded += 1
-            return {
-                "s": s, "t": t, "distance": distance,
-                "method": "estimate", "probes": probes, "degraded": True,
-            }
+            return answer_line(_estimates(self._estimator, pairs), False)
         return {
             "error": "overloaded",
             "retry_after_ms": self._retry_after_ms(),
@@ -976,7 +1010,7 @@ class NetServer:
 
     def _degrade_or_shed(
         self, conn: ConnStats, rung: str, pairs, with_path: bool, *, batch=False
-    ) -> dict:
+    ) -> _Response:
         """Answer a deadline-missing request from the degrade ladder.
 
         ``estimate`` answers from the landmark triangulation tables
@@ -984,24 +1018,20 @@ class NetServer:
         estimated answers would be indistinguishable from a correct
         response); path queries and table-less indexes fall through to
         the next rung.  ``shed`` (the terminal rung) answers a typed
-        error with a jittered ``retry_after_ms``.
+        error with a jittered ``retry_after_ms``.  Either way the
+        request takes exactly one rung.
         """
         if rung == "estimate" and (self._ladder_estimator is None or with_path):
             rung = self.slo.rung_after("estimate")
         if rung == "estimate":
-            estimates = []
-            for s, t in pairs:
-                distance, probes = self._ladder_estimator(s, t)
-                estimates.append({
-                    "s": s, "t": t, "distance": distance,
-                    "method": "estimate", "probes": probes, "degraded": True,
-                })
-                self.slo.note_rung("estimate")
+            self.slo.note_rung("estimate")
             conn.degraded += len(pairs)
             self.stats.degraded += len(pairs)
-            return {"results": estimates} if batch else estimates[0]
-        for _ in pairs:
-            self.slo.note_rung("shed")
+            answers = _estimates(self._ladder_estimator, pairs)
+            if batch:
+                return answers_line(answers, False)
+            return answer_line(answers, False)
+        self.slo.note_rung("shed")
         conn.overloads += 1
         self.stats.overloaded += 1
         return {
@@ -1011,54 +1041,53 @@ class NetServer:
 
     async def _await_single(
         self, future, with_path: bool, *, conn=None, pair=None, deadline=None
-    ) -> dict:
-        result = await future
-        if isinstance(result, _BatchError):
+    ) -> _Response:
+        answers = await future
+        if isinstance(answers, _BatchError):
             self.stats.errors += 1
-            return {"error": str(result.exc)}
-        if isinstance(result, _DeadlineMiss):
+            return {"error": str(answers.exc)}
+        if isinstance(answers, _DeadlineMiss):
             self.slo.note_completion(deadline)
             return self._degrade_or_shed(
                 conn, self.slo.rung_after("exact"), [pair], with_path
             )
-        (result,) = result
-        if deadline is None:
-            return encode_result(result, with_path)
-        met = self.slo.note_completion(deadline)
-        if not met:
-            # The exact answer exists but arrived late: a late answer
-            # is a wrong answer under an SLO, so the ladder still runs.
-            self.slo.note_stage_miss("execute")
-            return self._degrade_or_shed(
-                conn, self.slo.rung_after("exact"), [pair], with_path
+        if deadline is not None:
+            if not self.slo.note_completion(deadline):
+                # The exact answer exists but arrived late: a late
+                # answer is a wrong answer under an SLO, so the ladder
+                # still runs.
+                self.slo.note_stage_miss("execute")
+                return self._degrade_or_shed(
+                    conn, self.slo.rung_after("exact"), [pair], with_path
+                )
+            self.slo.note_rung(
+                "estimate" if answers.method[0] == _ESTIMATE else "exact"
             )
-        self.slo.note_rung(
-            "estimate" if result.method == "estimate" else "exact"
-        )
-        return encode_result(result, with_path)
+        return answer_line(answers, with_path)
 
     async def _await_pairs(
         self, future, with_path: bool, *, conn=None, pairs=None, deadline=None
-    ) -> dict:
-        results = await future
-        if isinstance(results, _BatchError):
+    ) -> _Response:
+        answers = await future
+        if isinstance(answers, _BatchError):
             self.stats.errors += 1
-            return {"error": str(results.exc)}
-        if deadline is None:
-            return {"results": [encode_result(r, with_path) for r in results]}
-        met = self.slo.note_completion(deadline)
-        missed = isinstance(results, _DeadlineMiss)
-        if missed or not met:
-            if not missed:
-                self.slo.note_stage_miss("execute")
-            return self._degrade_or_shed(
-                conn, self.slo.rung_after("exact"), pairs, with_path, batch=True
-            )
-        for result in results:
+            return {"error": str(answers.exc)}
+        if deadline is not None:
+            met = self.slo.note_completion(deadline)
+            missed = isinstance(answers, _DeadlineMiss)
+            if missed or not met:
+                if not missed:
+                    self.slo.note_stage_miss("execute")
+                return self._degrade_or_shed(
+                    conn, self.slo.rung_after("exact"), pairs, with_path,
+                    batch=True,
+                )
+            # One rung per request: any estimated pair (a shard's breaker
+            # window) makes the whole request an estimate.
             self.slo.note_rung(
-                "estimate" if result.method == "estimate" else "exact"
+                "estimate" if _ESTIMATE in answers.method else "exact"
             )
-        return {"results": [encode_result(r, with_path) for r in results]}
+        return answers_line(answers, with_path)
 
     async def _read_with_idle(self, read_coro):
         """Await a transport read, bounded by the idle timeout (if any)."""
@@ -1067,7 +1096,7 @@ class NetServer:
         return await asyncio.wait_for(read_coro, self.idle_timeout_s)
 
     @staticmethod
-    async def _resolve(payload: _Payload) -> dict:
+    async def _resolve(payload: _Payload) -> _Response:
         if asyncio.iscoroutine(payload):
             return await payload
         if callable(payload):
@@ -1147,7 +1176,8 @@ class NetServer:
                 response = await self._resolve(payload)
             except Exception as exc:  # belt and braces: never kill the writer
                 response = {"error": f"{type(exc).__name__}: {exc}"}
-            data = json_line(response)
+            # Answers arrive encoded; only response objects pass json_line.
+            data = response if isinstance(response, bytes) else json_line(response)
             try:
                 writer.write(data)
                 await writer.drain()
@@ -1171,10 +1201,10 @@ class NetServer:
                 except (asyncio.TimeoutError, TimeoutError):
                     self.stats.idle_closed += 1
                     frame = http_response(
-                        {
+                        json_body({
                             "error": "idle timeout",
                             "idle_timeout_s": self.idle_timeout_s,
-                        },
+                        }),
                         status=408, keep_alive=False,
                     )
                     try:
@@ -1187,7 +1217,7 @@ class NetServer:
                     break  # EOF between requests
                 except asyncio.LimitOverrunError:
                     frame = http_response(
-                        {"error": "request head too large"},
+                        json_body({"error": "request head too large"}),
                         status=413, keep_alive=False,
                     )
                     writer.write(frame)
@@ -1211,11 +1241,15 @@ class NetServer:
                 except asyncio.IncompleteReadError:
                     break  # truncated body: nothing sane to answer
                 extra = ()
-                if status == 503 and "retry_after_ms" in response:
-                    retry_s = max(1, -(-response["retry_after_ms"] // 1000))
-                    extra = (("Retry-After", str(retry_s)),)
+                if isinstance(response, bytes):
+                    body = response
+                else:
+                    body = json_body(response)
+                    if status == 503 and "retry_after_ms" in response:
+                        retry_s = max(1, -(-response["retry_after_ms"] // 1000))
+                        extra = (("Retry-After", str(retry_s)),)
                 frame = http_response(
-                    response, status=status, keep_alive=keep, extra_headers=extra
+                    body, status=status, keep_alive=keep, extra_headers=extra
                 )
                 try:
                     writer.write(frame)
@@ -1238,7 +1272,11 @@ class NetServer:
                 pass
 
     async def _route_http(self, conn: ConnStats, request, body: bytes):
-        """Map an HTTP exchange onto the shared request router."""
+        """Map an HTTP exchange onto the shared request router.
+
+        Returns ``(status, response)``: an encoded answer line (always
+        200) or a response object, whose errors pick the status.
+        """
         if request.method == "GET" and request.target == "/stats":
             conn.requests += 1
             return 200, self.snapshot()
@@ -1251,6 +1289,8 @@ class NetServer:
                 decoded.setdefault("deadline_ms", header_deadline)
             payload, _keep = self._route_request(conn, decoded)
             response = await self._resolve(payload)
+            if isinstance(response, bytes):
+                return 200, response
             if "error" in response and "retry_after_ms" in response:
                 return 503, response  # overloaded / deadline shed
             if "error" in response:
@@ -1286,19 +1326,6 @@ def _peer_name(writer) -> str:
     if isinstance(peer, tuple) and len(peer) >= 2:
         return f"{peer[0]}:{peer[1]}"
     return str(peer)
-
-
-def _accepts_budget(func) -> bool:
-    """Does a runner callable take the ``budget_s`` keyword?"""
-    try:
-        parameters = inspect.signature(func).parameters
-    except (TypeError, ValueError):
-        return False
-    if "budget_s" in parameters:
-        return True
-    return any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()
-    )
 
 
 async def serve_app(

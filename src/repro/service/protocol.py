@@ -22,7 +22,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
+from repro.core.oracle import METHOD_CODE, METHODS
 from repro.exceptions import ReproError
 
 #: Upper bound on an HTTP request head (request line + headers).
@@ -55,6 +57,69 @@ class ProtocolError(ReproError):
 def json_line(obj) -> bytes:
     """One response object as a compact ``\\n``-terminated JSON line."""
     return (json.dumps(obj, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+#: One answer object, as ``json_line(encode_result(...))`` spells it
+#: (the trailing ``%s`` carries the optional ``degraded``/``path`` keys).
+_ANSWER = '{"s":%d,"t":%d,"distance":%s,"method":%s,"probes":%d%s}'
+_METHOD_JSON = [json.dumps(name) for name in METHODS]
+_ESTIMATE = METHOD_CODE["estimate"]
+
+
+def _number(value) -> str:
+    """A distance as ``json.dumps`` writes it: ``null``, int or float."""
+    if value is None:
+        return "null"
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return json.dumps(value)
+    return int.__repr__(value)
+
+
+def _answer_objects(answers, with_path: bool) -> list[str]:
+    """Each row of an answer bundle as its JSON response object."""
+    paths = answers.paths
+    if not with_path:
+        tails = repeat("")
+    elif paths is None:
+        tails = repeat(',"path":null')
+    else:
+        tails = [
+            ',"path":null' if path is None
+            else ',"path":[' + ",".join(map(str, path)) + "]"
+            for path in paths
+        ]
+    names = _METHOD_JSON
+    estimate = _ESTIMATE
+    return [
+        _ANSWER % (
+            s, t, _number(d), names[code], p,
+            ',"degraded":true' + tail if code == estimate else tail,
+        )
+        for s, t, d, code, p, tail in zip(
+            answers.s, answers.t, answers.dist, answers.method,
+            answers.probes, tails,
+        )
+    ]
+
+
+def answer_line(answers, with_path: bool) -> bytes:
+    """A one-row answer bundle as its single-pair response line.
+
+    Byte-identical to ``json_line(encode_result(result, with_path))``
+    for the row's :class:`~repro.core.oracle.QueryResult` — built
+    straight from the columns, with no result object and no dict.
+    """
+    (body,) = _answer_objects(answers, with_path)
+    return (body + "\n").encode()
+
+
+def answers_line(answers, with_path: bool) -> bytes:
+    """An answer bundle as its ``{"results": [...]}`` batch response
+    line, byte-identical to ``json_line`` of the encoded result dicts."""
+    body = ",".join(_answer_objects(answers, with_path))
+    return ('{"results":[' + body + "]}\n").encode()
 
 
 def _reject_nonfinite(token: str):
@@ -195,7 +260,7 @@ def parse_http_head(head: bytes) -> HttpRequest:
 
 
 def http_response(
-    body: dict,
+    payload: bytes,
     *,
     status: int = 200,
     keep_alive: bool = True,
@@ -204,14 +269,15 @@ def http_response(
     """Build a complete JSON HTTP/1.1 response frame.
 
     Args:
-        body: the response object (serialised compactly, like the
-            JSONL framing).
+        payload: the encoded JSON body — ``json_body(obj)`` for a
+            response object, or an answer line (its trailing newline
+            is not part of the body).
         status: HTTP status code; the reason phrase is derived.
         keep_alive: emit ``Connection: keep-alive`` vs ``close``.
         extra_headers: additional ``(name, value)`` pairs (e.g.
             ``("Retry-After", "1")`` on an overload response).
     """
-    payload = json.dumps(body, separators=(",", ":")).encode("utf-8")
+    payload = payload.rstrip(b"\n")
     reason = _REASONS.get(status, "Unknown")
     head = [
         f"HTTP/1.1 {status} {reason}",
@@ -221,3 +287,8 @@ def http_response(
     ]
     head.extend(f"{name}: {value}" for name, value in extra_headers)
     return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + payload
+
+
+def json_body(obj) -> bytes:
+    """One response object as a compact JSON body (no newline)."""
+    return json.dumps(obj, separators=(",", ":")).encode("utf-8")

@@ -43,6 +43,7 @@ from repro.exceptions import QueryError, ReproError
 from repro.service.backends import ShardBackend, create_shard_backend
 from repro.service.batch import BatchExecutor, BatchStats
 from repro.service.cache import DEFAULT_CAPACITY, ResultCache
+from repro.service.protocol import answer_line, answers_line, json_line
 from repro.service.telemetry import Telemetry, render_snapshot
 from repro.service.workload import in_batches, zipf_pairs
 
@@ -323,8 +324,13 @@ def encode_result(result: QueryResult, with_path: bool) -> dict:
     return body
 
 
-def handle_request(app: ServiceApp, request: dict) -> tuple[dict, bool]:
-    """Answer one decoded request; returns ``(response, keep_serving)``."""
+def answer_request(app: ServiceApp, request) -> tuple:
+    """Answer one decoded request; returns ``(payload, keep_serving)``.
+
+    ``payload`` is the encoded response line (``bytes``) for a query —
+    written straight from the executor's answer columns — or a
+    response object (``dict``) for commands and errors.
+    """
     if not isinstance(request, dict):
         return {"error": "request must be a JSON object"}, True
     command = request.get("cmd")
@@ -341,17 +347,28 @@ def handle_request(app: ServiceApp, request: dict) -> tuple[dict, bool]:
         if "pairs" in request:
             pairs = [(int(s), int(t)) for s, t in request["pairs"]]
             with_path = bool(request.get("path", False))
-            results = app.executor.run(pairs, with_path=with_path)
-            return {"results": [encode_result(r, with_path) for r in results]}, True
+            answers = app.executor.answer(pairs, with_path=with_path)
+            return answers_line(answers, with_path), True
         if "s" in request and "t" in request:
             with_path = bool(request.get("path", False))
-            result = app.executor.query(
-                int(request["s"]), int(request["t"]), with_path=with_path
-            )
-            return encode_result(result, with_path), True
+            pair = (int(request["s"]), int(request["t"]))
+            answers = app.executor.answer([pair], with_path=with_path)
+            return answer_line(answers, with_path), True
     except (ReproError, ValueError, TypeError) as exc:
         return {"error": str(exc)}, True
     return {"error": "expected {'s','t'}, {'pairs'} or {'cmd'}"}, True
+
+
+def handle_request(app: ServiceApp, request: dict) -> tuple[dict, bool]:
+    """Answer one decoded request; returns ``(response, keep_serving)``.
+
+    The response object is exactly what a client decodes from the
+    :func:`answer_request` line.
+    """
+    payload, keep = answer_request(app, request)
+    if isinstance(payload, bytes):
+        payload = json.loads(payload)
+    return payload, keep
 
 
 def serve_stdio(
@@ -362,6 +379,7 @@ def serve_stdio(
 ) -> int:
     """Run the JSON-lines request loop until EOF or ``quit``.
 
+    Responses use the network front end's compact JSON-lines framing.
     Returns the number of requests served.
     """
     source = input_stream if input_stream is not None else sys.stdin
@@ -374,10 +392,13 @@ def serve_stdio(
         try:
             request = json.loads(line)
         except json.JSONDecodeError as exc:
-            response, keep = {"error": f"bad JSON: {exc}"}, True
+            payload, keep = {"error": f"bad JSON: {exc}"}, True
         else:
-            response, keep = handle_request(app, request)
-        print(json.dumps(response), file=sink, flush=True)
+            payload, keep = answer_request(app, request)
+        if not isinstance(payload, bytes):
+            payload = json_line(payload)
+        sink.write(payload.decode("utf-8"))
+        sink.flush()
         served += 1
         if not keep:
             break
@@ -419,9 +440,8 @@ def run_bench(
     started = time.perf_counter()
     answered = 0
     for batch in in_batches(pairs, batch_size):
-        for result in app.executor.run(batch):
-            if result.answered:
-                answered += 1
+        answers = app.executor.answer(batch)
+        answered += len(answers) - answers.dist.count(None)
     batched_s = time.perf_counter() - started
 
     report = {

@@ -14,11 +14,12 @@ else lives here once:
   / ``recv(worker, seq) -> ResponseFrame`` — that each backend
   implements (inline thread dispatch, frame pipes, shared-memory
   rings);
-* the **one** coordinator ``query_batch`` loop: validate, partition by
+* the **one** coordinator ``query_columns`` loop: validate, partition by
   home shard, split into ``sub_batch``-sized chunks, route each chunk
   to the least-loaded replica (:class:`~repro.service.routing.ReplicaRouter`),
-  push request frames, then collect/decode response frames and fold the
-  §5 wire accounting into :attr:`log`.
+  push request frames, then scatter each response frame's columns into
+  the batch's :class:`~repro.core.engine.Answers` and fold the §5 wire
+  accounting into :attr:`log` (``query_batch`` is its object edge).
 
 Because encoding, decoding and accounting are identical for every
 transport, result parity across backends is structural rather than
@@ -35,6 +36,7 @@ from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.core.engine import Answers, fresh_columns
 from repro.core.flat import FlatIndex
 from repro.core.parallel import (
     BYTES_PER_CONTROL,
@@ -318,13 +320,22 @@ class FlatShardedBase:
     # the coordinator loop (shared by every backend)
     # ------------------------------------------------------------------
     def query_batch(self, pairs, *, with_path: bool = False, budget_s=None):
-        """Answer a batch through the transport plane.
+        """Answer a batch as result objects (see :meth:`query_columns`)."""
+        return self.query_columns(
+            pairs, with_path=with_path, budget_s=budget_s
+        ).results()
+
+    def query_columns(
+        self, pairs, *, with_path: bool = False, budget_s=None
+    ) -> Answers:
+        """Answer a batch through the transport plane, as one bundle.
 
         The batch is partitioned by ``shard_of(source)``, each shard's
         share split into ``sub_batch``-pair request frames routed to its
-        least-loaded replica, and the response frames decoded back into
-        input order.  Wire accounting lands in :attr:`log` exactly as
-        the thread backend and the simulation record it — the modelled
+        least-loaded replica, and each response frame's columns (and
+        path slices) scattered back into input order.  Wire accounting
+        lands in :attr:`log` exactly as the thread backend and the
+        simulation record it — the modelled
         §5 round trips ride inside the response frames, so the totals
         are independent of which transport moved them.
 
@@ -338,11 +349,13 @@ class FlatShardedBase:
         so no breaker or restart machinery is tripped by it.
         """
         pair_list, homes, flat_pairs = self._validate_batch(pairs, with_path)
-        if not pair_list:
-            return []
+        if not len(pair_list):
+            return Answers.empty()
         transport = self._transport
         by_shard = self._partition(homes)
-        results = [None] * len(pair_list)
+        m = flat_pairs.shape[0]
+        dist, method, witness, probes = fresh_columns(m)
+        paths = None
         local = remote = 0
         trip_count = trip_bytes = 0
         errors: list[str] = []
@@ -513,11 +526,15 @@ class FlatShardedBase:
                 if not resp.ok:
                     errors.append(f"shard worker {worker} failed: {resp.error}")
                     continue
-                decoded = resp.to_results(
-                    flat_pairs[positions].tolist(), integral=self.flat.integral
-                )
-                for position, result in zip(positions.tolist(), decoded):
-                    results[position] = result
+                dist[positions] = resp.dist
+                method[positions] = resp.method
+                witness[positions] = resp.witness
+                probes[positions] = resp.probes
+                if resp.path_nodes.shape[0]:
+                    if paths is None:
+                        paths = [None] * m
+                    for position, path in zip(positions.tolist(), resp.paths()):
+                        paths[position] = path
                 local += resp.local
                 remote += resp.remote
                 trip_count += resp.trips.shape[0]
@@ -525,10 +542,19 @@ class FlatShardedBase:
                 exec_ns += resp.exec_ns
                 if resp.cache_stats is not None:
                     self._note_worker_cache(worker, resp.cache_stats)
+            answers = Answers.from_columns(
+                flat_pairs, dist, method, witness, probes, self.flat.integral,
+                paths,
+            )
             for positions in degraded:
-                estimates = shard_estimates(self.flat, flat_pairs[positions])
-                for position, result in zip(positions.tolist(), estimates):
-                    results[position] = result
+                estimates = Answers.from_results(
+                    shard_estimates(self.flat, flat_pairs[positions])
+                )
+                for k, position in enumerate(positions.tolist()):
+                    answers.dist[position] = estimates.dist[k]
+                    answers.method[position] = estimates.method[k]
+                    answers.witness[position] = estimates.witness[k]
+                    answers.probes[position] = estimates.probes[k]
                 self._slo_counters["degraded_pairs"] += len(positions)
                 if sup is not None:
                     sup.note_degraded(len(positions))
@@ -540,7 +566,7 @@ class FlatShardedBase:
             raise QueryError("; ".join(errors))
         with self._log_lock:
             self._fold_log(local, remote, trip_count, trip_bytes)
-        return results
+        return answers
 
     # ------------------------------------------------------------------
     # supervision: failover, restart and degrade (see service/supervisor)

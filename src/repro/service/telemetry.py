@@ -18,10 +18,11 @@ import math
 import threading
 import time
 from collections import Counter, deque
+from itertools import repeat
 from contextlib import contextmanager
 from typing import Optional
 
-from repro.core.oracle import METHODS, QueryResult
+from repro.core.oracle import METHOD_CODE, METHODS, QueryResult
 
 #: Histogram bucket boundaries in seconds: 1 µs .. ~16 s, doubling.
 _BUCKET_FLOOR = 1e-6
@@ -47,17 +48,26 @@ class LatencyHistogram:
         self.buckets = [0] * (_BUCKET_COUNT + 1)
         self._samples: deque[float] = deque(maxlen=reservoir)
 
-    def observe(self, seconds: float) -> None:
-        """Record one latency sample (in seconds)."""
+    def observe(self, seconds: float, count: int = 1) -> None:
+        """Record ``count`` latency samples of ``seconds`` each.
+
+        One call with ``count=k`` leaves the aggregates, buckets and
+        reservoir as ``k`` single calls would.
+        """
+        if count < 1:
+            return
         seconds = max(0.0, float(seconds))
-        self.count += 1
-        self.total += seconds
+        self.count += count
+        self.total += seconds * count
         if self.min is None or seconds < self.min:
             self.min = seconds
         if self.max is None or seconds > self.max:
             self.max = seconds
-        self.buckets[self._bucket(seconds)] += 1
-        self._samples.append(seconds)
+        self.buckets[self._bucket(seconds)] += count
+        if count == 1:
+            self._samples.append(seconds)
+        else:
+            self._samples.extend(repeat(seconds, min(count, self._samples.maxlen)))
 
     @staticmethod
     def _bucket(seconds: float) -> int:
@@ -157,25 +167,31 @@ class Telemetry:
         """Record one :class:`QueryResult` with its latency."""
         self.observe_query(result.method, seconds, answered=result.answered)
 
-    def observe_batch(self, results, seconds: float) -> None:
-        """Record a whole batch: per-pair methods, amortised latency.
+    def observe_batch(self, methods, dists, seconds: float) -> None:
+        """Record a whole batch from its method codes and distances.
 
+        ``methods`` holds one :data:`~repro.core.oracle.METHODS` code
+        per pair and ``dists`` one distance (``None`` = unanswered).
         Individual per-pair timings inside a batch are dominated by
         timer overhead, so each pair is attributed an equal share of
         the batch's wall time — the figure that matters for capacity
         planning — while the batch itself lands in ``batch_latency``.
         """
-        results = list(results)
+        size = len(methods)
+        unanswered = dists.count(None)
         with self._lock:
             self.batches += 1
             self.batch_latency.observe(seconds)
-            share = seconds / len(results) if results else 0.0
-            for result in results:
-                self.queries += 1
-                self.by_method[result.method] += 1
-                if not result.answered:
-                    self.unanswered += 1
-                self.query_latency.observe(share)
+            if not size:
+                return
+            self.queries += size
+            self.unanswered += unanswered
+            if size == 1:
+                self.by_method[METHODS[methods[0]]] += 1
+            else:
+                for code, count in Counter(methods).items():
+                    self.by_method[METHODS[code]] += count
+            self.query_latency.observe(seconds / size, count=size)
 
     @contextmanager
     def timed_batch(self):
@@ -185,7 +201,11 @@ class Telemetry:
         try:
             yield sink
         finally:
-            self.observe_batch(sink, time.perf_counter() - started)
+            self.observe_batch(
+                [METHOD_CODE[result.method] for result in sink],
+                [result.distance for result in sink],
+                time.perf_counter() - started,
+            )
 
     # ------------------------------------------------------------------
     # reporting

@@ -15,9 +15,12 @@ coordinator, so no transport ever serialises per pair again.
   concatenated ``path_nodes``), the §5 wire-accounting trip sizes, the
   local/remote split, worker execute time, and (optionally) the
   fixed-slot worker-cache counters.  Built from results with
-  :meth:`ResponseFrame.from_results`; turned back into
-  :class:`~repro.core.oracle.QueryResult` objects with
-  :meth:`ResponseFrame.to_results`.
+  :meth:`ResponseFrame.from_results` or
+  :meth:`ResponseFrame.from_columns`; the coordinator scatters the
+  columns straight into its batch's
+  :class:`~repro.core.engine.Answers`, and
+  :meth:`ResponseFrame.to_results` turns a frame back into
+  :class:`~repro.core.oracle.QueryResult` objects.
 
 Frames travel three ways, all byte-identical in what they decode to:
 passed by reference (the thread backend's inline transport — the
@@ -46,11 +49,11 @@ the engine object itself returned.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
 
+from repro.core.engine import Answers
 from repro.core.oracle import (  # noqa: F401 - re-exported wire vocabulary
     METHOD_CODE,
     METHOD_NAME,
@@ -74,7 +77,6 @@ CACHE_STAT_FIELDS = (
 _EMPTY_I8 = np.zeros(0, dtype=np.int64)
 _STATUS_OK = 0
 _STATUS_ERROR = 1
-_IDENTICAL_CODE = METHOD_CODE["identical"]
 
 
 class RequestFrame:
@@ -387,6 +389,19 @@ class ResponseFrame:
     # ------------------------------------------------------------------
     # decode
     # ------------------------------------------------------------------
+    def paths(self) -> list:
+        """The frame's per-row paths (``None`` where a row has none)."""
+        nodes = self.path_nodes.tolist()
+        paths = []
+        cursor = 0
+        for n_path in self.path_len.tolist():
+            if n_path < 0:
+                paths.append(None)
+                continue
+            paths.append(nodes[cursor:cursor + n_path])
+            cursor += n_path
+        return paths
+
     def to_results(
         self,
         pairs,
@@ -410,30 +425,8 @@ class ResponseFrame:
             raise SerializationError(
                 f"frame carries {m} results for {len(pairs)} pairs"
             )
-        nodes = self.path_nodes
-        names = METHODS
-        results: list[QueryResult] = []
-        append = results.append
-        cursor = 0
-        isnan = math.isnan
-        identical_code = _IDENTICAL_CODE
-        for (s, t), d, code, w, p, n_path in zip(
-            pairs, self.dist.tolist(), self.method.tolist(),
-            self.witness.tolist(), self.probes.tolist(),
-            self.path_len.tolist(),
-        ):
-            if isnan(d):
-                value = None
-            elif code == identical_code:
-                value = 0  # the identical lane returns int 0 even when weighted
-            else:
-                value = int(d) if integral else float(d)
-            path = None
-            if n_path >= 0:
-                path = nodes[cursor:cursor + n_path].tolist()
-                cursor += n_path
-            append(result_cls(
-                int(s), int(t), value, path, names[code],
-                None if w < 0 else w, p,
-            ))
-        return results
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        return Answers.from_columns(
+            arr, self.dist, self.method, self.witness, self.probes,
+            integral, self.paths(),
+        ).results(result_cls)

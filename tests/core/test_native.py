@@ -24,6 +24,7 @@ from repro.core.oracle import METHODS, VicinityOracle
 from repro.core.parallel import shard_assignment
 from repro.exceptions import KernelError
 from repro.io.oracle_store import load_flat_index, save_index
+from repro.service.batch import BatchExecutor
 from repro.service.wire import RequestFrame
 
 from tests.conftest import random_connected_graph
@@ -266,9 +267,10 @@ class TestScalarParity:
     )
     def test_batch_matches_numpy_tier(self, built, kernel, with_path):
         pairs = _batch_pairs(FlatIndex.from_index(built), 500, seed=12)
-        want = FlatQueryEngine.from_index(
+        numpy_eng = FlatQueryEngine.from_index(
             built, kernel=kernel, kernels="numpy"
-        ).query_batch(pairs, with_path=with_path)
+        )
+        want = numpy_eng.query_batch(pairs, with_path=with_path)
         native_eng = FlatQueryEngine.from_index(
             built, kernel=kernel, kernels="native"
         )
@@ -276,6 +278,21 @@ class TestScalarParity:
         got = native_eng.query_batch(pairs, with_path=with_path)
         assert len(got) == len(want) == len(pairs)
         assert_results_identical(got, want, kernel)
+        # The column bundles' object edge against the per-pair object
+        # lane, directly and through the executor's dedup and mirrors.
+        scalar = {pair: numpy_eng.resolve(*pair, with_path) for pair in pairs}
+        columns = native_eng.query_columns(pairs, with_path=with_path)
+        assert_results_identical(
+            columns.results(), [scalar[pair] for pair in pairs], kernel
+        )
+        mirrored = [
+            scalar[(s, t)] if s <= t else numpy_eng.resolve(t, s, with_path).mirrored()
+            for s, t in pairs
+        ]
+        for backend in (native_eng, numpy_eng):
+            answers = BatchExecutor(backend).answer(pairs, with_path=with_path)
+            assert len(answers) == len(pairs)
+            assert_results_identical(answers.results(), mirrored, kernel)
 
 
 @needs_native

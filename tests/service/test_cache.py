@@ -424,3 +424,62 @@ class TestTinyLFU:
     def test_snapshot_omits_denied_for_plain_lru(self):
         assert "denied" not in ResultCache(8).snapshot()
         assert "denied" in ResultCache(8, admission="tinylfu").snapshot()
+
+
+class TestBatchCalls:
+    """``get_many``/``put_many`` are per-key ``get``/``put`` under one lock."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {},
+            {"admission": "2q"},
+            {"admission": "tinylfu"},
+            {"ttl": 3.0, "ttls": {"miss": 1.0}},
+            {"admission": "2q", "ttl": 2.0},
+            {"symmetric": False},
+        ],
+        ids=["lru", "2q", "tinylfu", "ttl", "2q-ttl", "asymmetric"],
+    )
+    def test_batch_calls_match_per_key_calls(self, options):
+        import random
+
+        from repro.core.engine import Answers
+
+        rng = random.Random(5)
+        now = [0.0]
+        single = ResultCache(24, clock=lambda: now[0], **options)
+        batched = ResultCache(24, clock=lambda: now[0], **options)
+        methods = ("intersection", "miss", "disconnected", "landmark-source")
+        for _ in range(300):
+            now[0] += rng.random()
+            pairs = [(rng.randrange(12), rng.randrange(12)) for _ in range(6)]
+            need_path = rng.random() < 0.3
+            got = [single.get(s, t, need_path=need_path) for s, t in pairs]
+            entries = batched.get_many(pairs, need_path=need_path)
+            for (s, t), result, entry in zip(pairs, got, entries):
+                if result is None:
+                    assert entry is None
+                    continue
+                stored = QueryResult(*entry)
+                if (stored.source, stored.target) != (s, t):
+                    stored = stored.mirrored()
+                assert stored == result
+            results = []
+            for s, t in pairs:
+                method = rng.choice(methods)
+                distance = None if method in ("miss", "disconnected") else rng.randrange(1, 4)
+                path = None
+                if distance is not None and rng.random() < 0.5:
+                    path = [s] + [rng.randrange(12) for _ in range(distance - 1)] + [t]
+                witness = rng.randrange(12) if method == "intersection" else None
+                results.append(QueryResult(s, t, distance, path, method, witness, 9))
+            stored = [single.put(result) for result in results]
+            assert batched.put_many(Answers.from_results(results)) == sum(stored)
+            assert batched.snapshot() == single.snapshot()
+            assert list(batched._entries.items()) == list(single._entries.items())
+            if single._probation is not None:
+                assert list(batched._probation.items()) == list(
+                    single._probation.items()
+                )
+        assert single.hits and single.misses and single.evictions

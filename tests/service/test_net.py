@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.config import OracleConfig
 from repro.core.engine import FlatQueryEngine
-from repro.core.oracle import VicinityOracle
+from repro.core.oracle import QueryResult, VicinityOracle
 from repro.io.oracle_store import save_index
 from repro.service import NetServer, ServiceApp
 from repro.service.net import Coalescer, NetStats, landmark_estimator
@@ -108,7 +108,7 @@ class TestCoalescer:
         """Pairs from different connections land in ONE backend batch."""
         calls = []
 
-        def runner(pairs, with_path):
+        def runner(pairs, with_path, *, budget_s=None):
             calls.append(list(pairs))
             return app.executor.run(pairs, with_path=with_path)
 
@@ -140,7 +140,7 @@ class TestCoalescer:
     def test_flush_chunks_to_max_batch(self, app):
         sizes = []
 
-        def runner(pairs, with_path):
+        def runner(pairs, with_path, *, budget_s=None):
             sizes.append(len(pairs))
             return app.executor.run(pairs, with_path=with_path)
 
@@ -164,7 +164,7 @@ class TestCoalescer:
         """A multi-pair request is one queue entry, one future, one call."""
         sizes = []
 
-        def runner(pairs, with_path):
+        def runner(pairs, with_path, *, budget_s=None):
             sizes.append(len(pairs))
             return app.executor.run(pairs, with_path=with_path)
 
@@ -196,7 +196,7 @@ class TestCoalescer:
     def test_flush_takes_whole_requests_up_to_max_batch(self, app):
         sizes = []
 
-        def runner(pairs, with_path):
+        def runner(pairs, with_path, *, budget_s=None):
             sizes.append(list(pairs))
             return app.executor.run(pairs, with_path=with_path)
 
@@ -218,7 +218,7 @@ class TestCoalescer:
     def test_path_lanes_are_separate_executor_calls(self, app):
         lanes = []
 
-        def runner(pairs, with_path):
+        def runner(pairs, with_path, *, budget_s=None):
             lanes.append((len(pairs), with_path))
             return app.executor.run(pairs, with_path=with_path)
 
@@ -240,7 +240,7 @@ class TestCoalescer:
     def test_soft_limit_rejects_and_batch_admission_is_atomic(self):
         async def scenario():
             coalescer = manual(
-                Coalescer(lambda pairs, wp: [], soft_limit=2)
+                Coalescer(lambda pairs, wp, *, budget_s=None: [], soft_limit=2)
             )
             assert coalescer.offer(0, 1) is not None
             # Admitting this 2-pair batch would overflow: all-or-nothing.
@@ -256,7 +256,7 @@ class TestCoalescer:
     def test_hard_limit_gate_blocks_until_flush(self, app):
         async def scenario():
             coalescer = manual(Coalescer(
-                lambda pairs, wp: app.executor.run(pairs, with_path=wp),
+                lambda pairs, wp, *, budget_s=None: app.executor.run(pairs, with_path=wp),
                 soft_limit=4,
                 hard_limit=4,
             ))
@@ -272,7 +272,7 @@ class TestCoalescer:
         sync(scenario())
 
     def test_runner_exception_answers_every_request(self):
-        def runner(pairs, with_path):
+        def runner(pairs, with_path, *, budget_s=None):
             raise RuntimeError("backend down")
 
         async def scenario():
@@ -291,7 +291,7 @@ class TestCoalescer:
     def test_lone_request_answers_without_manual_drive(self, app):
         async def scenario():
             coalescer = Coalescer(
-                lambda pairs, wp: app.executor.run(pairs, with_path=wp)
+                lambda pairs, wp, *, budget_s=None: app.executor.run(pairs, with_path=wp)
             )
             future = coalescer.offer(0, 5)
             (result,) = await asyncio.wait_for(future, 5)
@@ -305,7 +305,7 @@ class TestCoalescer:
         calls = []
         release = threading.Event()
 
-        def runner(pairs, with_path):
+        def runner(pairs, with_path, *, budget_s=None):
             calls.append(list(pairs))
             release.wait(10)
             return [None] * len(pairs)
@@ -360,6 +360,72 @@ class TestTcpServing:
         assert path[0] == 0 and path[-1] == 9
         assert len(path) == pathy["distance"] + 1
         assert quit_ack == {"ok": True}
+
+    def test_engine_app_answers_from_columns_without_result_objects(
+        self, index, tmp_path, monkeypatch
+    ):
+        """Duplicates, mirrors, s == t, a pathed request and a cache hit
+        all match per-pair ``engine.query``, and on the native tier the
+        engine-backed app answers a pathless batch without building one
+        ``QueryResult`` (the numpy tier's lanes still resolve objects)."""
+        path = str(tmp_path / "store.flat")
+        save_index(index, path)
+        app = ServiceApp.from_saved(path, mmap=True)
+        engine = app.engine
+        batch = [
+            (0, 5), (5, 0), (0, 5), (7, 7), (3, 200), (200, 3), (10, 150),
+            (150, 10), (42, 99), (99, 42), (42, 99), (1, 239), (120, 60),
+        ]
+        pathed = [(3, 200), (120, 60), (8, 8), (5, 0)]
+        constructed = []
+        init = QueryResult.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(args[:2])
+            init(self, *args, **kwargs)
+
+        async def scenario():
+            async with _ManualServer(app, manual_flush=False) as harness:
+                reader, writer = await harness.connect()
+                monkeypatch.setattr(QueryResult, "__init__", counting_init)
+                await send(writer, {"pairs": batch})
+                first = await recv(reader)
+                built = list(constructed)
+                monkeypatch.undo()
+                await send(writer, {"pairs": pathed, "path": True})
+                with_paths = await recv(reader)
+                await send(writer, {"pairs": batch})  # the cache answers
+                repeat = await recv(reader)
+                await send(writer, {"s": 150, "t": 10})
+                single = await recv(reader)
+            app.close()
+            return first, with_paths, repeat, single, built
+
+        first, with_paths, repeat, single, built = sync(scenario())
+        if engine.kernels == "native":
+            assert built == []
+        assert app.cache.hits > 0
+
+        def expected(s, t, with_path=False):
+            canonical = engine.query(min(s, t), max(s, t), with_path=with_path)
+            body = {
+                "s": s, "t": t, "distance": canonical.distance,
+                "method": canonical.method,
+                "probes": 0 if s > t else canonical.probes,
+            }
+            if with_path:
+                body["path"] = (
+                    canonical.path if s <= t or canonical.path is None
+                    else canonical.path[::-1]
+                )
+            return body
+
+        assert first["results"] == [expected(s, t) for s, t in batch]
+        assert repeat == first
+        assert with_paths["results"] == [
+            expected(s, t, with_path=True) for s, t in pathed
+        ]
+        assert single == expected(150, 10)
 
     def test_empty_pair_list_answers_empty_results(self, app):
         async def scenario():

@@ -3,18 +3,25 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.core.engine import Answers
+from repro.core.oracle import METHOD_CODE, METHODS
 from repro.service.protocol import (
     MAX_BODY_BYTES,
     MAX_DEADLINE_MS,
     MAX_HEAD_BYTES,
     ProtocolError,
+    answer_line,
+    answers_line,
     decode_json_line,
     http_response,
+    json_body,
     json_line,
     parse_http_head,
     validate_deadline_ms,
 )
+from repro.service.server import encode_result
 
 
 class TestJsonLines:
@@ -113,9 +120,55 @@ class TestKeepAlive:
         assert parse_http_head(head).keep_alive
 
 
+@st.composite
+def answer_bundles(draw):
+    """Bundles over every method code, unanswered rows, integral or
+    float stores, and with or without paths."""
+    m = draw(st.integers(0, 12))
+    rows = st.lists(st.integers(0, 10**6), min_size=m, max_size=m)
+    codes = draw(st.lists(
+        st.sampled_from(range(len(METHODS))), min_size=m, max_size=m
+    ))
+    if draw(st.booleans()):  # an integral store
+        values = st.integers(0, 10**12)
+    else:
+        values = st.floats(min_value=0.0, allow_nan=False)
+    dist = [
+        0 if code == METHOD_CODE["identical"]
+        else draw(st.none() | values)
+        for code in codes
+    ]
+    paths = None
+    if draw(st.booleans()):
+        paths = draw(st.lists(
+            st.none() | st.lists(st.integers(0, 10**6), min_size=1, max_size=6),
+            min_size=m, max_size=m,
+        ))
+    return Answers(
+        draw(rows), draw(rows), dist, codes,
+        draw(st.lists(st.integers(-1, 10**6), min_size=m, max_size=m)),
+        draw(st.lists(st.integers(0, 10**4), min_size=m, max_size=m)),
+        paths,
+    )
+
+
+class TestAnswerEncoder:
+    @settings(max_examples=300, deadline=None)
+    @given(bundle=answer_bundles(), with_path=st.booleans())
+    def test_column_lines_match_the_result_encoder(self, bundle, with_path):
+        results = bundle.results()
+        assert answers_line(bundle, with_path) == json_line(
+            {"results": [encode_result(r, with_path) for r in results]}
+        )
+        for row, result in enumerate(results):
+            assert answer_line(bundle[row:row + 1], with_path) == json_line(
+                encode_result(result, with_path)
+            )
+
+
 class TestHttpResponse:
     def test_frame_shape(self):
-        frame = http_response({"ok": True})
+        frame = http_response(json_body({"ok": True}))
         head, _, payload = frame.partition(b"\r\n\r\n")
         lines = head.decode("latin-1").split("\r\n")
         assert lines[0] == "HTTP/1.1 200 OK"
@@ -126,7 +179,7 @@ class TestHttpResponse:
 
     def test_close_and_extra_headers(self):
         frame = http_response(
-            {"error": "overloaded"},
+            json_body({"error": "overloaded"}),
             status=503,
             keep_alive=False,
             extra_headers=(("Retry-After", "2"),),
@@ -139,7 +192,7 @@ class TestHttpResponse:
     def test_response_parses_back_through_head_parser(self):
         # A response frame is not a request, but the header block is the
         # same grammar — the declared length must match the payload.
-        frame = http_response({"distance": 4, "s": 0, "t": 5})
+        frame = http_response(json_line({"distance": 4, "s": 0, "t": 5}))
         head, _, payload = frame.partition(b"\r\n\r\n")
         headers = dict(
             line.split(": ", 1) for line in head.decode().split("\r\n")[1:]

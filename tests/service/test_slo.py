@@ -314,7 +314,7 @@ class TestController:
                 soft_limit=100, hard_limit=400, clock=clock,
             )
             coalescer = Coalescer(
-                lambda pairs, with_path: [],
+                lambda pairs, with_path, *, budget_s=None: [],
                 soft_limit=100, hard_limit=400, slo=ctl,
             )
             assert coalescer.soft_limit_now() == 100
@@ -338,7 +338,7 @@ class TestCoalescerDeadlines:
             ctl = SloController(SloConfig(), clock=clock)
             calls = []
 
-            def runner(pairs, with_path, budget_s=None):
+            def runner(pairs, with_path, *, budget_s=None):
                 calls.append(list(pairs))
                 return [None] * len(pairs)
 
@@ -362,7 +362,7 @@ class TestCoalescerDeadlines:
             ctl = SloController(SloConfig(), clock=clock)
             budgets = []
 
-            def runner(pairs, with_path, budget_s=None):
+            def runner(pairs, with_path, *, budget_s=None):
                 budgets.append((list(pairs), budget_s))
                 return [None] * len(pairs)
 
@@ -452,6 +452,34 @@ class TestLadderResponses:
         assert all(r["method"] == "estimate" for r in response["results"])
         assert all(r["degraded"] is True for r in response["results"])
 
+    def test_ladder_counts_one_rung_per_request(self, app):
+        """``ladder.taken`` and ``deadline.requests`` count the same unit:
+        multi-pair requests across exact, estimate and shed outcomes."""
+        requests = [
+            {"pairs": [[0, 5], [3, 9], [5, 0]], "deadline_ms": 250.0},
+            {"pairs": [[1, 2], [7, 7]], "deadline_ms": 250.0},
+            {"pairs": [[0, 5], [3, 9], [4, 40]], "deadline_ms": 0.001},
+            {"pairs": [[6, 60], [60, 6]], "deadline_ms": 0.001},
+            # Estimates carry no path: this one walks on to shed.
+            {"pairs": [[2, 8], [9, 3]], "path": True, "deadline_ms": 0.001},
+        ]
+
+        async def scenario():
+            async with _Server(app, manual_flush=False) as harness:
+                reader, writer = await harness.connect()
+                responses = []
+                for request in requests:
+                    await send(writer, request)
+                    responses.append(await recv(reader))
+                return responses, harness.server.snapshot()["net"]["slo"]
+
+        responses, snap = sync(scenario())
+        assert [len(r.get("results", ())) for r in responses] == [3, 2, 3, 2, 0]
+        assert responses[-1]["error"] == "deadline"
+        taken = snap["ladder"]["taken"]
+        assert taken == {"exact": 2, "estimate": 2, "shed": 1}
+        assert sum(taken.values()) == snap["deadline"]["requests"] == len(requests)
+
     def test_late_exact_answer_is_degraded_not_returned(self, app):
         """Mid-execute expiry: the exact result exists but arrived late."""
 
@@ -461,12 +489,12 @@ class TestLadderResponses:
             clock = FakeClock()
             deadline = Deadline(0.005, clock=clock)
             future = asyncio.get_running_loop().create_future()
-            future.set_result([app.executor.query(0, 5)])
+            future.set_result(app.executor.answer([(0, 5)]))
             clock.advance(0.050)  # the batch took 50 ms against a 5 ms budget
             response = await server._await_single(
                 future, False, conn=conn, pair=(0, 5), deadline=deadline
             )
-            return response, server.slo.snapshot()
+            return json.loads(response), server.slo.snapshot()
 
         response, snap = sync(scenario())
         assert response["method"] == "estimate"
@@ -717,20 +745,20 @@ class TestNoDeadlineRegression:
     def test_backend_sees_no_budget_keyword_without_deadlines(self, app):
         async def scenario():
             seen = []
-            original = app.executor.run
+            original = app.executor.answer
 
             def spy(pairs, *, with_path=False, budget_s=None):
                 seen.append(budget_s)
                 return original(pairs, with_path=with_path, budget_s=budget_s)
 
-            app.executor.run = spy
+            app.executor.answer = spy
             try:
                 async with _Server(app, manual_flush=False) as harness:
                     reader, writer = await harness.connect()
                     await send(writer, {"s": 0, "t": 5})
                     await recv(reader)
             finally:
-                app.executor.run = original
+                app.executor.answer = original
             return seen
 
         assert sync(scenario()) == [None]

@@ -391,7 +391,7 @@ class TestRetryAfterFloor:
     def _coalescer(self, **kwargs):
         from repro.service.net import Coalescer
 
-        return Coalescer(lambda pairs, with_path: [], **kwargs)
+        return Coalescer(lambda pairs, with_path, *, budget_s=None: [], **kwargs)
 
     def test_cold_estimate_floored(self):
         from repro.service.net import RETRY_AFTER_FLOOR_MS

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.core.oracle import QueryResult
+from repro.core.oracle import METHOD_CODE, QueryResult
 from repro.service.telemetry import LatencyHistogram, Telemetry, render_snapshot
 
 
@@ -13,6 +13,28 @@ def _result(method="intersection", distance=3):
 
 
 class TestLatencyHistogram:
+    @pytest.mark.parametrize("count", [1, 3, 256, 10_000])
+    def test_counted_observe_equals_repeated_single_calls(self, count):
+        counted, single = LatencyHistogram(reservoir=512), LatencyHistogram(reservoir=512)
+        for histogram in (counted, single):
+            histogram.observe(0.002)
+            histogram.observe(0.5)
+        counted.observe(0.00003, count=count)
+        for _ in range(count):
+            single.observe(0.00003)
+        assert counted.count == single.count
+        assert counted.total == pytest.approx(single.total, rel=1e-12)
+        assert (counted.min, counted.max) == (single.min, single.max)
+        assert counted.buckets == single.buckets
+        assert list(counted._samples) == list(single._samples)
+        qs = (1, 50, 95, 99, 100)
+        assert counted.percentiles(qs) == single.percentiles(qs)
+
+    def test_counted_observe_of_zero_samples_records_nothing(self):
+        histogram = LatencyHistogram()
+        histogram.observe(0.1, count=0)
+        assert histogram.count == 0 and histogram.max is None
+
     def test_empty(self):
         histogram = LatencyHistogram()
         assert histogram.count == 0
@@ -75,10 +97,13 @@ class TestTelemetry:
 
     def test_observe_batch_amortises_latency(self):
         telemetry = Telemetry()
-        telemetry.observe_batch([_result(), _result(), _result(), _result()], 0.004)
+        codes = [METHOD_CODE["intersection"]] * 3 + [METHOD_CODE["miss"]]
+        telemetry.observe_batch(codes, [3, 3, 3, None], 0.004)
         snap = telemetry.snapshot()
         assert snap["queries"] == 4
         assert snap["batches"] == 1
+        assert snap["by_method"] == {"intersection": 3, "miss": 1}
+        assert snap["unanswered"] == 1
         assert snap["latency"]["p50_ms"] == pytest.approx(1.0)
         assert snap["batch_latency"]["p50_ms"] == pytest.approx(4.0)
 
