@@ -15,8 +15,8 @@ Reproduction targets on a Chung-Lu social graph under a repeated-pair
 * the process-pool shard backend answers batches at least 2x the
   throughput of the GIL-bound thread backend at 4 shards, with
   identical results — the property that makes sharding buy *speed*,
-  not just routing fidelity (the default shared-memory ring transport
-  moves fixed-dtype frames, never per-pair pickles);
+  not just routing fidelity (the pipe transport moves fixed-dtype
+  frames, never per-pair pickles);
 * the asyncio network front end answers a pipelined multi-client TCP
   workload at least 2x the throughput of the same workload issued
   serially per connection — cross-client coalescing into single
@@ -28,13 +28,13 @@ Also runnable as a script for CI::
     PYTHONPATH=src python benchmarks/bench_service.py --smoke
 
 which drives a tiny graph through the dict reference and the flat
-engine, and through every shard backend×transport plane (threads
-inline, procpool pipe-frame, procpool shared-memory ring), verifies
+engine, and through both shard backends (threads inline, procpool
+pipe-frame), verifies
 identical results and MessageLog totals, asserts the engine speedup,
 and writes the machine-readable
 ``benchmarks/_artifacts/BENCH_service.json`` (throughput and
 p50/p95/p99 per engine×backend, plus the dispatch/execute/collect
-overhead split per transport) that CI uploads to seed the perf
+overhead split per shard backend) that CI uploads to seed the perf
 trajectory.
 """
 
@@ -720,14 +720,14 @@ def run_smoke(
 
     * dict reference vs flat engine ``query_batch`` — field-identical
       results and a >= 2x flat speedup (the PR 3 acceptance bar);
-    * thread vs process shard backends across all transport planes
-      (inline, pipe-frame, shared-memory ring) — identical results,
+    * thread vs process shard backends (inline and pipe-frame
+      transports) — identical results,
       paths and MessageLog totals (so process spawn, shared memory,
       frame codecs and wire accounting cannot rot between runs).
 
     Writes ``benchmarks/_artifacts/BENCH_service.json`` with
     throughput and p50/p95/p99 per engine×backend plus the
-    dispatch/execute/collect overhead split per transport
+    dispatch/execute/collect overhead split per shard backend
     (``shard_overhead``), and returns a process exit code.
     """
     from repro.core.config import OracleConfig
@@ -848,14 +848,10 @@ def run_smoke(
     return 0
 
 
-#: Every shard backend×transport plane the smoke must agree across.
-#: The grid key for the ring plane stays ``flat:procpool`` so the
-#: committed-baseline trend (one procpool number per PR) is unbroken;
-#: ring is the backend's default transport.
+#: Every shard backend the smoke must agree across.
 SMOKE_SHARD_CONFIGS = (
     ("flat:threads", "threads", {}),
-    ("flat:procpool:pipe", "procpool", {"transport": "pipe"}),
-    ("flat:procpool", "procpool", {"transport": "ring"}),
+    ("flat:procpool", "procpool", {}),
 )
 
 #: Timed passes per shard config; the recorded figure is the best one
@@ -903,7 +899,7 @@ def _smoke_phases(index, pairs, batches, shards, failures, record, extra) -> flo
     if speedup < 2.0:
         failures.append(f"flat engine speedup {speedup:.2f}x < 2x")
 
-    # --- shard backends x transport planes (all run ShardQueryEngine) -
+    # --- shard backends (both run ShardQueryEngine) -------------------
     outcomes = {}
     overhead = {}
     for key, backend, kwargs in SMOKE_SHARD_CONFIGS:

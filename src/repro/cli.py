@@ -121,13 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "worker memory, skipping the kernel and the modelled round trip)",
     )
     serve.add_argument(
-        "--transport-plane", choices=["pipe", "ring"], default=None,
-        help="procpool backend: how request/response frames move between "
-        "coordinator and shard workers — 'ring' (default): shared-memory "
-        "result rings, no serialisation; 'pipe': one encoded frame per "
-        "pipe message",
-    )
-    serve.add_argument(
         "--sub-batch", type=int, default=0,
         help="sharded mode: split each shard's share of a batch into "
         "request frames of at most this many pairs (0 = one frame per "
@@ -138,12 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sharded mode: interchangeable workers per shard; "
         "sub-batches are routed to the replica with the least "
         "outstanding work (helps Zipf-hot shards)",
-    )
-    serve.add_argument(
-        "--pin-workers", action="store_true",
-        help="procpool backend: pin each worker process to one core "
-        "(round-robin over the coordinator's affinity mask; no-op "
-        "where unsupported)",
     )
     serve.add_argument(
         "--supervise", action="store_true",
@@ -368,13 +355,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if (args.transport_plane or args.pin_workers) and args.backend != "procpool":
-        print(
-            "error: --transport-plane/--pin-workers require "
-            "--backend procpool (the threads backend is always inline)",
-            file=sys.stderr,
-        )
-        return 2
     if args.inject_faults and args.backend != "procpool":
         print(
             "error: --inject-faults requires --backend procpool "
@@ -449,20 +429,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _shard_backend_kwargs(args: argparse.Namespace) -> dict:
-    """Transport-plane options worth forwarding (non-defaults only).
+    """Shard-backend options worth forwarding (non-defaults only).
 
     Only non-default values are forwarded so an unsharded serve never
     trips the "backend options require shards >= 1" guard.
     """
     kwargs = {}
-    if args.transport_plane:
-        kwargs["transport"] = args.transport_plane
     if args.sub_batch:
         kwargs["sub_batch"] = args.sub_batch
     if args.replicas > 1:
         kwargs["replicas"] = args.replicas
-    if args.pin_workers:
-        kwargs["pin_workers"] = True
     if args.supervise:
         from repro.service import SupervisorConfig
 

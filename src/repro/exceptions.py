@@ -60,7 +60,7 @@ class WorkerFault(QueryError):
 
 class WorkerDied(WorkerFault):
     """Raised when a shard worker's process or stream is gone (EOF,
-    broken pipe, dead ring peer)."""
+    broken pipe)."""
 
     def __init__(self, worker: int, reason: str = "died") -> None:
         super().__init__(worker, reason)

@@ -30,10 +30,8 @@ views releases the mapping, and the file persists by design.
 
 from __future__ import annotations
 
-import os
-import time
 from multiprocessing import shared_memory
-from typing import Callable, Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -182,211 +180,6 @@ def attach_bundle(spec: Mapping):
     if "mmap_path" in spec:
         return MappedArrayBundle.open(spec["mmap_path"])
     return SharedArrayBundle.attach(spec)
-
-
-#: Control area of a ring: head and tail counters on separate cache
-#: lines so producer and consumer never write the same line.
-RING_HEADER_BYTES = 2 * _ALIGN
-
-#: Bytes of ring occupied by one frame's length prefix.
-_RING_PREFIX = 8
-
-_SPIN_ROUNDS = 64
-_YIELD_ROUNDS = 512
-_SLEEP_FLOOR = 1e-5
-_SLEEP_CEIL = 2e-3
-
-try:
-    _sched_yield = os.sched_yield
-except AttributeError:  # platforms without sched_yield
-    def _sched_yield() -> None:
-        time.sleep(0)
-
-
-class RingDead(SerializationError):
-    """Raised when the process on the other end of a ring is gone."""
-
-
-class RingBuffer:
-    """Single-producer single-consumer byte ring over shared memory.
-
-    The ring occupies ``RING_HEADER_BYTES + capacity`` bytes of an
-    existing buffer: a 64-byte-aligned *head* counter (total bytes ever
-    published by the producer), a *tail* counter on its own cache line
-    (total bytes ever consumed), and a ``capacity``-byte data area
-    addressed modulo ``capacity``.  Counters increase monotonically, so
-    ``head - tail`` is the exact number of unread bytes and no slot
-    arithmetic or wrap flag is needed.
-
-    Frames are length-prefixed byte strings.  Both :meth:`push` and
-    :meth:`pop` *stream*: a frame larger than the free space (even
-    larger than the whole ring) is moved in available-space chunks
-    while the peer drains/fills the other side, so there is no maximum
-    frame size.  Blocking waits spin briefly then back off to short
-    sleeps; an optional ``peer_alive`` callback turns a dead peer into
-    :class:`RingDead` instead of an infinite wait.
-
-    One process must be the only pusher and one the only popper —
-    coordinator and shard worker each own one direction of a ring pair.
-    """
-
-    def __init__(
-        self,
-        buf,
-        offset: int,
-        capacity: int,
-        *,
-        peer_alive: Optional[Callable[[], bool]] = None,
-    ) -> None:
-        if capacity <= 0:
-            raise ValueError("ring capacity must be positive")
-        self._head = np.frombuffer(buf, dtype=np.uint64, count=1, offset=offset)
-        self._tail = np.frombuffer(
-            buf, dtype=np.uint64, count=1, offset=offset + _ALIGN
-        )
-        self._data = np.frombuffer(
-            buf, dtype=np.uint8, count=capacity, offset=offset + RING_HEADER_BYTES
-        )
-        self.capacity = capacity
-        self.peer_alive = peer_alive
-
-    @staticmethod
-    def region_bytes(capacity: int) -> int:
-        """Total buffer bytes one ring of ``capacity`` occupies."""
-        return RING_HEADER_BYTES + capacity
-
-    def reset(self) -> None:
-        """Zero the counters (creator only, before the peer attaches)."""
-        self._head[0] = 0
-        self._tail[0] = 0
-
-    # ------------------------------------------------------------------
-    # producer side
-    # ------------------------------------------------------------------
-    def push(
-        self,
-        payload: bytes,
-        *,
-        timeout: Optional[float] = None,
-        on_stall: Optional[Callable[[], None]] = None,
-    ) -> None:
-        """Publish one length-prefixed frame, streaming through the ring.
-
-        ``on_stall`` runs each time the ring is found full — the
-        coordinator passes a callback that drains ready response
-        frames, so a producer blocked here can never deadlock against
-        a consumer blocked publishing on the reverse ring.
-        """
-        frame = np.frombuffer(
-            np.uint64(len(payload)).tobytes() + payload, dtype=np.uint8
-        )
-        total = frame.shape[0]
-        sent = 0
-        waiter = _Backoff(self.peer_alive, timeout)
-        while sent < total:
-            head = int(self._head[0])
-            free = self.capacity - (head - int(self._tail[0]))
-            if free <= 0:
-                if on_stall is not None:
-                    on_stall()
-                waiter.wait()
-                continue
-            waiter.restart()
-            chunk = min(free, total - sent)
-            pos = head % self.capacity
-            first = min(chunk, self.capacity - pos)
-            self._data[pos:pos + first] = frame[sent:sent + first]
-            if chunk > first:
-                self._data[:chunk - first] = frame[sent + first:sent + chunk]
-            self._head[0] = head + chunk
-            sent += chunk
-
-    # ------------------------------------------------------------------
-    # consumer side
-    # ------------------------------------------------------------------
-    def pop(self, *, timeout: Optional[float] = None) -> bytes:
-        """Consume the next frame (blocking; streams oversized frames)."""
-        prefix = self._read_exact(_RING_PREFIX, timeout)
-        size = int(np.frombuffer(prefix, dtype=np.uint64, count=1)[0])
-        return self._read_exact(size, timeout)
-
-    def poll(self) -> bool:
-        """True when at least one byte is ready to read."""
-        return int(self._head[0]) > int(self._tail[0])
-
-    def drain(self, *, timeout: float = 0.0) -> int:
-        """Discard whole frames until the ring stays empty; never hangs.
-
-        Returns the number of frames discarded.  A partial frame left by
-        a dead or wedged producer (bytes published but short of the
-        promised length) is abandoned once ``timeout`` expires — the
-        caller is tearing the ring down, so unread bytes are irrelevant.
-        """
-        count = 0
-        while self.poll():
-            try:
-                self.pop(timeout=timeout)
-            except (TimeoutError, RingDead):
-                break
-            count += 1
-        return count
-
-    def _read_exact(self, size: int, timeout: Optional[float]) -> bytes:
-        parts: list[bytes] = []
-        got = 0
-        waiter = _Backoff(self.peer_alive, timeout)
-        while got < size:
-            tail = int(self._tail[0])
-            ready = int(self._head[0]) - tail
-            if ready <= 0:
-                waiter.wait()
-                continue
-            waiter.restart()
-            chunk = min(ready, size - got)
-            pos = tail % self.capacity
-            first = min(chunk, self.capacity - pos)
-            parts.append(self._data[pos:pos + first].tobytes())
-            if chunk > first:
-                parts.append(self._data[:chunk - first].tobytes())
-            self._tail[0] = tail + chunk
-            got += chunk
-        return b"".join(parts)
-
-
-class _Backoff:
-    """Spin, then yield, then sleep — with deadline and peer checks.
-
-    The yield tier is what makes the ring competitive when coordinator
-    and workers share cores: ``sched_yield`` hands the timeslice to the
-    peer that must fill/drain the ring, where a pure spin would burn
-    the whole quantum doing nothing and a sleep would overshoot the
-    peer's finish by up to the sleep granularity.
-    """
-
-    __slots__ = ("_peer_alive", "_deadline", "_spins", "_sleep")
-
-    def __init__(self, peer_alive, timeout: Optional[float]) -> None:
-        self._peer_alive = peer_alive
-        self._deadline = None if timeout is None else time.monotonic() + timeout
-        self.restart()
-
-    def restart(self) -> None:
-        self._spins = 0
-        self._sleep = _SLEEP_FLOOR
-
-    def wait(self) -> None:
-        self._spins += 1
-        if self._spins <= _SPIN_ROUNDS:
-            return
-        if self._peer_alive is not None and not self._peer_alive():
-            raise RingDead("ring peer process is gone")
-        if self._deadline is not None and time.monotonic() >= self._deadline:
-            raise TimeoutError("timed out waiting on shared-memory ring")
-        if self._spins <= _SPIN_ROUNDS + _YIELD_ROUNDS:
-            _sched_yield()
-            return
-        time.sleep(self._sleep)
-        self._sleep = min(self._sleep * 2, _SLEEP_CEIL)
 
 
 def _view(shm: shared_memory.SharedMemory, offset: int, shape, dtype) -> np.ndarray:

@@ -49,7 +49,7 @@ from repro.service.backends import (
 )
 from repro.service.faults import FaultInjector, FaultPlan, WorkerFaults
 from repro.service.routing import ReplicaRouter
-from repro.service.shardbase import SHARD_TRANSPORTS, ShardTransport
+from repro.service.shardbase import ShardTransport
 from repro.service.supervisor import (
     SupervisorConfig,
     WorkerSupervisor,
@@ -90,7 +90,6 @@ __all__ = [
     "ProcessShardedService",
     "ShardBackend",
     "SHARD_BACKENDS",
-    "SHARD_TRANSPORTS",
     "ShardTransport",
     "ReplicaRouter",
     "RequestFrame",

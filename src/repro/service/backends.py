@@ -22,8 +22,7 @@ saved index via their ``from_saved`` constructors.
 
 Coordinator↔worker traffic is fixed-dtype wire frames over a
 :class:`~repro.service.shardbase.ShardTransport` — inline thread
-dispatch for ``threads``, frame pipes or shared-memory result rings
-(``transport="pipe"|"ring"``) for ``procpool`` — and both backends
+dispatch for ``threads``, frame pipes for ``procpool`` — and both backends
 accept ``sub_batch=`` chunking and per-shard ``replicas=`` with
 load-aware routing (:mod:`repro.service.routing`).
 """

@@ -10,7 +10,8 @@ Supported fault kinds (per worker, ``"*"`` applies to all):
 
 * ``kill_after_frames`` — the worker SIGKILLs itself upon *receiving*
   frame N, i.e. mid-frame: the request is consumed, no response is
-  ever produced.  This is the hard crash the supervisor must convert
+  ever produced, and earlier responses still queued for the worker's
+  sender thread die with it.  This is the hard crash the supervisor must convert
   into a failover or a restart.
 * ``stall_at_frame`` / ``stall_s`` — the worker sleeps before
   answering frame N: wedged-but-alive, observable only through the
@@ -33,9 +34,8 @@ worker comes back clean, so "kill once" scenarios converge.  Set
 ``every_generation=True`` for sustained churn (the worker re-kills
 itself after every restart), which is what ``bench_chaos.py`` drives.
 
-Plans thread through both procpool transport planes identically: the
-spec rides in the worker ``meta`` dict, and the injector wraps the
-frame loop in ``_worker_main`` — transport-agnostic by construction.
+Plans reach the procpool workers in their ``meta`` dict, and the
+injector wraps the frame loop in ``_worker_main``.
 ``repro-paths serve --inject-faults <plan>`` accepts the same specs
 for manual drills (a JSON object, or the named presets of
 :meth:`FaultPlan.parse`).

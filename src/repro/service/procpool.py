@@ -16,20 +16,9 @@ promotes the same scheme to worker *processes*:
 * request/response traffic is **frames, not pickles**: the coordinator
   ships each sub-batch as one fixed-dtype
   :class:`~repro.service.wire.RequestFrame` and gets the result columns
-  back as one :class:`~repro.service.wire.ResponseFrame`, over either
-  transport plane:
-
-  - ``pipe`` — one ``send_bytes``/``recv_bytes`` of the encoded frame
-    per sub-batch over a ``multiprocessing.Pipe``;
-  - ``ring`` (default) — a shared-memory result ring pair per worker
-    (:class:`~repro.io.shm.RingBuffer`), so frame payloads move through
-    one mapped segment with a sequence-number handshake and **no
-    serialisation machinery at all** — no pickle, no payload copy
-    through the kernel; availability is signalled by a one-byte
-    doorbell pipe per direction, giving the waiter an event-driven
-    wakeup instead of a polling loop (which matters whenever the
-    coordinator and the workers share cores);
-
+  back as one :class:`~repro.service.wire.ResponseFrame` — one
+  length-prefixed message per encoded frame per sub-batch over a
+  per-worker ``multiprocessing.Pipe`` (the ``pipe`` plane);
 * the wire *accounting* still models the per-query exchanges §5
   prescribes: workers return each round trip's payload byte count
   inside the response frame and the coordinator records them in the
@@ -45,118 +34,36 @@ promotes the same scheme to worker *processes*:
 With the worker cache off (the default), results are identical to the
 thread backend — distance, method, witness, probes, path, and
 MessageLog totals — which the transport parity suite pins across both
-backends and all transport planes from the same saved index.
+backends from the same saved index.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import queue
+import select
+import socket
+import struct
+import threading
 import time
-from multiprocessing import shared_memory
 from typing import Optional
 
 from repro.core.flat import FlatIndex
 from repro.exceptions import (
-    QueryError,
     SerializationError,
     WorkerDied,
     WorkerFault,
     WorkerTimeout,
 )
-from repro.io.shm import RingBuffer, RingDead, SharedArrayBundle, _attach_untracked
+from repro.io.shm import SharedArrayBundle
 from repro.service.faults import FaultPlan
 from repro.service.shardbase import FlatShardedBase, FrameStreamTransport
 from repro.service.wire import RequestFrame, ResponseFrame
 
-#: Default byte capacity of each request/response ring.
-DEFAULT_RING_CAPACITY = 1 << 20
-
-
-def _pin_to_core(core: Optional[int]) -> None:
-    """Pin the calling process to one core; silently no-op elsewhere."""
-    if core is None or not hasattr(os, "sched_setaffinity"):
-        return
-    try:
-        os.sched_setaffinity(0, {core})
-    except (OSError, ValueError):
-        pass
-
-
-class _PipeEndpoint:
-    """Worker side of the pipe transport: length-delimited frame bytes."""
-
-    def __init__(self, conn) -> None:
-        self._conn = conn
-
-    def recv(self) -> bytes:
-        return self._conn.recv_bytes()
-
-    def send(self, buf: bytes) -> None:
-        self._conn.send_bytes(buf)
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-class _RingEndpoint:
-    """Worker side of the ring transport: attach the segment, pop/push.
-
-    Frame payloads move through the shared-memory rings; the doorbell
-    connections carry exactly one signal byte per frame, so the waiting
-    side blocks in the kernel (an event-driven wakeup, like a pipe
-    read) instead of burning its single-core timeslice polling the
-    ring head — and a dead peer surfaces as EOF instead of a timeout.
-    """
-
-    def __init__(self, spec: dict) -> None:
-        self._shm = _attach_untracked(spec["segment"])
-        parent = multiprocessing.parent_process()
-        alive = parent.is_alive if parent is not None else None
-        capacity = spec["capacity"]
-        offset = spec["offset"]
-        self._req_signal = spec["req_signal"]
-        self._resp_signal = spec["resp_signal"]
-        self._requests = RingBuffer(
-            self._shm.buf, offset, capacity, peer_alive=alive
-        )
-        self._responses = RingBuffer(
-            self._shm.buf,
-            offset + RingBuffer.region_bytes(capacity),
-            capacity,
-            peer_alive=alive,
-        )
-
-    def recv(self) -> bytes:
-        try:
-            self._req_signal.recv_bytes()
-        except (EOFError, OSError):
-            raise RingDead("coordinator is gone") from None
-        return self._requests.pop()
-
-    def send(self, buf: bytes) -> None:
-        self._responses.push(buf)
-        try:
-            self._resp_signal.send_bytes(b"x")
-        except (BrokenPipeError, OSError):
-            raise RingDead("coordinator is gone") from None
-
-    def close(self) -> None:
-        self._requests = self._responses = None
-        for conn in (self._req_signal, self._resp_signal):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self._shm.close()
-        except BufferError:
-            pass
-
 
 def _worker_main(
-    endpoint_spec, spec: dict, meta: dict, pin_core=None,
-    worker_id: int = 0, generation: int = 0,
+    conn, spec: dict, meta: dict, worker_id: int = 0, generation: int = 0,
 ) -> None:
     """Worker process entry: attach the shared index, serve frames.
 
@@ -164,11 +71,11 @@ def _worker_main(
     segment (the copy path) or the store file itself (the mmap path,
     where this worker maps the file read-only and computes its own
     shard assignment — both are cheaper than shipping them).
-    ``endpoint_spec`` is a pipe connection or a ring descriptor dict.
-    An empty frame is the shutdown sentinel.  ``generation`` counts
-    restarts of this worker slot: a respawned worker re-attaches the
-    same substrate and, under fault injection, lets once-only rules
-    expire (:mod:`repro.service.faults`).
+    ``conn`` is the worker's end of its frame pipe.  An empty frame is
+    the shutdown sentinel.  ``generation`` counts restarts of this
+    worker slot: a respawned worker re-attaches the same substrate
+    and, under fault injection, lets once-only rules expire
+    (:mod:`repro.service.faults`).
     """
     from repro.core.engine import ShardQueryEngine
     from repro.core.parallel import shard_assignment
@@ -176,7 +83,6 @@ def _worker_main(
     from repro.service.cache import ResultCache
     from repro.service.faults import FaultInjector
 
-    _pin_to_core(pin_core)
     injector = FaultInjector.from_spec(
         meta.get("faults"), worker_id, generation
     )
@@ -214,15 +120,26 @@ def _worker_main(
         if meta["worker_cache_size"] > 0
         else None
     )
-    endpoint = (
-        _RingEndpoint(endpoint_spec)
-        if isinstance(endpoint_spec, dict)
-        else _PipeEndpoint(endpoint_spec)
-    )
+    # Responses leave through a sender thread so this loop never stops
+    # reading requests.  The coordinator sends every frame of a batch
+    # before it receives any; a worker blocked writing a response that
+    # nobody reads yet would stop draining requests, the request pipe
+    # would fill, and both sides would wait on each other forever.
+    outbox: queue.SimpleQueue = queue.SimpleQueue()
+
+    def send_loop() -> None:
+        while (payload := outbox.get()) is not None:
+            try:
+                conn.send_bytes(payload)
+            except OSError:
+                return  # the coordinator is gone
+
+    sender = threading.Thread(target=send_loop, daemon=True)
+    sender.start()
     try:
         frames = 0
         while True:
-            buf = endpoint.recv()
+            buf = conn.recv_bytes()
             if not buf:
                 break
             frames += 1
@@ -234,15 +151,20 @@ def _worker_main(
             payload = resp.to_bytes()
             if injector is not None:
                 for wire_payload in injector.outgoing(payload, frames):
-                    endpoint.send(wire_payload)
+                    outbox.put(wire_payload)
             else:
-                endpoint.send(payload)
-    except (EOFError, KeyboardInterrupt, RingDead):
+                outbox.put(payload)
+    except (EOFError, KeyboardInterrupt):
         pass
+    except OSError:
+        pass  # the request stream was cut mid-frame by a send deadline
     finally:
+        # Drain what is queued before the pipe closes.
+        outbox.put(None)
+        sender.join()
         del engine, flat
         bundle.close()
-        endpoint.close()
+        conn.close()
 
 
 #: Deadline waits re-check worker liveness this often.  With the
@@ -251,86 +173,156 @@ def _worker_main(
 #: the process handle, not the fd, is the truth about liveness.
 LIVENESS_SLICE_S = 0.05
 
+#: How long ``close()`` waits to hand a worker its stop sentinel before
+#: falling back to terminating it.
+SHUTDOWN_SEND_S = 0.5
 
-def _wait_readable(conn, alive, worker: int, timeout: Optional[float]) -> bool:
-    """Wait for ``conn`` to become readable, watching worker liveness.
+#: ``multiprocessing.Connection`` message framing: a signed 32-bit
+#: big-endian length, or ``-1`` followed by a 64-bit one.
+_LEN = struct.Struct("!i")
+_LONG_LEN = struct.Struct("!iQ")
 
-    Returns ``True`` when a payload is ready and ``False`` when the
-    deadline expired; raises :class:`WorkerDied` as soon as the worker
-    is observed dead with nothing left buffered — a recv on a dead
-    worker fails in ~:data:`LIVENESS_SLICE_S` instead of burning the
-    whole deadline (or, with no deadline, hanging forever).
+
+class PipeFrameTransport(FrameStreamTransport):
+    """One encoded frame per message over per-worker pipes.
+
+    Requests are written with a deadline (:meth:`_write`) and responses
+    read with one (:meth:`_wait_readable`), so a wedged worker costs at
+    most the configured deadline on either side.
+
+    ``procs`` is the service's worker-process list; liveness checks
+    read it by slot, so a restarted worker is tracked the moment its
+    slot is overwritten.
     """
-    deadline = None if timeout is None else time.monotonic() + timeout
-    while True:
-        slice_s = LIVENESS_SLICE_S
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            slice_s = min(slice_s, remaining)
-        try:
-            if conn.poll(slice_s):
-                return True
-        except (EOFError, OSError):
-            raise WorkerDied(worker) from None
-        if not alive():
-            # The worker may have answered and then died: drain wins.
-            try:
-                if conn.poll(0):
-                    return True
-            except (EOFError, OSError):
-                pass
-            raise WorkerDied(worker) from None
-
-
-class _ProcessFrameTransport(FrameStreamTransport):
-    """Frame stream to worker *processes*: adds liveness bookkeeping."""
-
-    def __init__(self, num_workers: int) -> None:
-        super().__init__(num_workers)
-        self._procs: list = []
-
-    def bind_procs(self, procs: list) -> None:
-        """Point liveness checks at the spawned worker processes."""
-        self._procs = procs
-
-    def _alive_check(self, worker: int):
-        def alive() -> bool:
-            procs = self._procs
-            if worker >= len(procs):
-                return True  # still starting up
-            return procs[worker].is_alive()
-
-        return alive
-
-
-class PipeFrameTransport(_ProcessFrameTransport):
-    """One encoded frame per ``send_bytes`` over per-worker pipes."""
 
     name = "pipe"
 
-    def __init__(self, conns) -> None:
-        super().__init__(len(conns))
-        self._conns = conns
+    def __init__(self, procs: list, num_workers: int) -> None:
+        super().__init__(num_workers)
+        self._procs = procs
+        self._conns: list = [None] * num_workers
+        # A second handle on each coordinator end, for non-blocking
+        # writes (``MSG_DONTWAIT``) that leave the fd's mode alone.
+        self._socks: list = [None] * num_workers
+
+    def _alive(self, worker: int) -> bool:
+        procs = self._procs
+        if worker >= len(procs):
+            return True  # still starting up
+        return procs[worker].is_alive()
+
+    def open_worker(self, worker: int, context):
+        """(Re)open a worker's pipe; returns the child end.
+
+        The caller hands the child end to the (re)spawned worker
+        process and closes its own copy after the spawn.
+        """
+        self._close_worker(worker)
+        parent_conn, child_conn = context.Pipe()
+        self._conns[worker] = parent_conn
+        self._socks[worker] = socket.socket(fileno=os.dup(parent_conn.fileno()))
+        self.clear_pending(worker)
+        return child_conn
+
+    def _close_worker(self, worker: int) -> None:
+        for handle in (self._socks[worker], self._conns[worker]):
+            if handle is None:
+                continue
+            try:
+                handle.close()
+            except OSError:
+                pass
 
     def send(
         self, worker: int, frame: RequestFrame, *, timeout: Optional[float] = None
     ) -> None:
-        # Pipe writes of frame-sized payloads don't meaningfully block;
-        # the deadline is enforced on the recv side.
-        try:
-            self._conns[worker].send_bytes(frame.to_bytes())
-        except (BrokenPipeError, OSError):
-            raise WorkerDied(worker) from None
+        self._write(worker, frame.to_bytes(), timeout)
         self.note_sent(worker, frame.seq)
+
+    def _write(self, worker: int, payload: bytes, timeout: Optional[float]) -> None:
+        """Write one framed message, bounded by ``timeout``.
+
+        The worker keeps reading while it computes (its responses leave
+        through a sender thread, see :func:`_worker_main`), so a write
+        only waits when the worker is wedged.  Raises
+        :class:`WorkerTimeout` when the deadline expires and
+        :class:`WorkerDied` as soon as the worker is observed dead.  A
+        frame cut short by the deadline cannot be resumed, so the
+        request direction is then shut: the worker reads EOF instead of
+        a torn frame and exits, and later sends report it dead.
+        """
+        n = len(payload)
+        header = _LEN.pack(n) if n <= 0x7FFFFFFF else _LONG_LEN.pack(-1, n)
+        data = memoryview(header + payload)
+        sock = self._socks[worker]
+        deadline = None if timeout is None else time.monotonic() + timeout
+        poller = None
+        sent = 0
+        while sent < len(data):
+            try:
+                sent += sock.send(data[sent:], socket.MSG_DONTWAIT)
+                continue
+            except BlockingIOError:
+                pass
+            except OSError:
+                raise WorkerDied(worker) from None
+            slice_s = LIVENESS_SLICE_S
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    if sent:
+                        try:
+                            sock.shutdown(socket.SHUT_WR)
+                        except OSError:
+                            pass
+                    raise WorkerTimeout(worker, timeout)
+                slice_s = min(slice_s, remaining)
+            if poller is None:
+                poller = select.poll()
+                poller.register(sock, select.POLLOUT)
+            poller.poll(slice_s * 1000)
+            if not self._alive(worker):
+                raise WorkerDied(worker)
+
+    def _wait_readable(self, worker: int, timeout: Optional[float]) -> bool:
+        """Wait for a worker's pipe to become readable, watching liveness.
+
+        Returns ``True`` when a payload is ready and ``False`` when the
+        deadline expired; raises :class:`WorkerDied` as soon as the
+        worker is observed dead with nothing left buffered — a recv on a
+        dead worker fails in ~:data:`LIVENESS_SLICE_S` instead of
+        burning the whole deadline (or, with no deadline, hanging
+        forever).
+        """
+        conn = self._conns[worker]
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            slice_s = LIVENESS_SLICE_S
+            if deadline is not None:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return False
+                slice_s = min(slice_s, remaining)
+            try:
+                if conn.poll(slice_s):
+                    return True
+            except (EOFError, OSError):
+                raise WorkerDied(worker) from None
+            if not self._alive(worker):
+                # The worker may have answered and then died: drain wins.
+                try:
+                    if conn.poll(0):
+                        return True
+                except (EOFError, OSError):
+                    pass
+                raise WorkerDied(worker) from None
 
     def _recv_raw(
         self, worker: int, timeout: Optional[float] = None
     ) -> ResponseFrame:
-        conn = self._conns[worker]
-        if not _wait_readable(conn, self._alive_check(worker), worker, timeout):
+        if not self._wait_readable(worker, timeout):
             raise WorkerTimeout(worker, timeout)
+        conn = self._conns[worker]
         try:
             buf = conn.recv_bytes()
         except (EOFError, OSError):
@@ -340,253 +332,24 @@ class PipeFrameTransport(_ProcessFrameTransport):
         except SerializationError as exc:
             raise WorkerFault(worker, f"sent an undecodable frame: {exc}") from None
 
-    def reset_worker(self, worker: int):
-        """Replace a dead worker's pipe; returns the fresh child end.
+    def shutdown_worker(self, worker: int) -> bool:
+        """Send the stop sentinel (an empty frame).
 
-        The caller hands the child end to the respawned worker process
-        (and closes its own copy after the spawn, as at startup).
+        Returns ``False`` when the worker is gone or did not take the
+        sentinel within :data:`SHUTDOWN_SEND_S` — a wedged worker that
+        stopped reading — so the caller can terminate it instead.
         """
+        if not self._alive(worker):
+            return False
         try:
-            self._conns[worker].close()
-        except OSError:
-            pass
-        parent_conn, child_conn = multiprocessing.Pipe()
-        self._conns[worker] = parent_conn
-        self.clear_pending(worker)
-        return child_conn
-
-    def shutdown_worker(self, worker: int) -> None:
-        try:
-            self._conns[worker].send_bytes(b"")
-        except (BrokenPipeError, OSError):
-            pass
+            self._write(worker, b"", SHUTDOWN_SEND_S)
+        except WorkerFault:
+            return False
+        return True
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-
-class RingFrameTransport(_ProcessFrameTransport):
-    """Per-worker SPSC ring pairs over one shared-memory segment.
-
-    Each worker owns ``2 * (header + capacity)`` bytes of the segment:
-    a request ring the coordinator pushes into and a response ring the
-    worker pushes into.  Frames stream through in place — the only
-    per-frame work on either side is the encode/decode the other
-    transports also pay.  Availability travels out of band: every push
-    is followed by one byte down a per-direction doorbell pipe, so the
-    waiting side blocks in the kernel and is woken by the scheduler
-    the instant the frame lands, instead of spin-polling the ring head
-    (which loses badly when coordinator and workers share cores).  The
-    coordinator's ``send`` drains ready responses into the pending
-    buffer whenever a request ring stalls, so a worker blocked
-    publishing results can never deadlock the coordinator.
-    """
-
-    name = "ring"
-
-    def __init__(
-        self, num_workers: int, *, capacity: int = DEFAULT_RING_CAPACITY
-    ) -> None:
-        super().__init__(num_workers)
-        self.capacity = int(capacity)
-        unit = 2 * RingBuffer.region_bytes(self.capacity)
-        self._unit = unit
-        self._shm = shared_memory.SharedMemory(
-            create=True, size=num_workers * unit
-        )
-        self._requests = []
-        self._responses = []
-        # Doorbells: request-signal write ends + response-signal read
-        # ends stay here; the opposite ends travel in the worker spec.
-        self._signal_send = []
-        self._signal_recv = []
-        self._child_req = []
-        self._child_resp = []
-        for worker in range(num_workers):
-            req_r, req_w = multiprocessing.Pipe(duplex=False)
-            resp_r, resp_w = multiprocessing.Pipe(duplex=False)
-            self._signal_send.append(req_w)
-            self._signal_recv.append(resp_r)
-            self._child_req.append(req_r)
-            self._child_resp.append(resp_w)
-            offset = worker * unit
-            alive = self._alive_check(worker)
-            requests = RingBuffer(
-                self._shm.buf, offset, self.capacity, peer_alive=alive
-            )
-            responses = RingBuffer(
-                self._shm.buf,
-                offset + RingBuffer.region_bytes(self.capacity),
-                self.capacity,
-                peer_alive=alive,
-            )
-            requests.reset()
-            responses.reset()
-            self._requests.append(requests)
-            self._responses.append(responses)
-
-    def worker_spec(self, worker: int) -> dict:
-        """The ring descriptor a worker attaches from.
-
-        Picklable through ``multiprocessing`` spawn args: the doorbell
-        ends are ``Connection`` objects, which the spawn machinery
-        duplicates into the child.
-        """
-        return {
-            "segment": self._shm.name,
-            "offset": worker * self._unit,
-            "capacity": self.capacity,
-            "req_signal": self._child_req[worker],
-            "resp_signal": self._child_resp[worker],
-        }
-
-    def release_worker_ends(self, worker: int) -> None:
-        """Drop the parent's copies of a spawned worker's doorbell ends.
-
-        Without this the parent keeps the child's write end open and a
-        dead worker never surfaces as EOF on the response doorbell.
-        """
-        self._child_req[worker].close()
-        self._child_resp[worker].close()
-
-    def send(
-        self, worker: int, frame: RequestFrame, *, timeout: Optional[float] = None
-    ) -> None:
-        try:
-            self._requests[worker].push(
-                frame.to_bytes(),
-                timeout=timeout,
-                on_stall=lambda: self._absorb(worker),
-            )
-            self._signal_send[worker].send_bytes(b"x")
-        except TimeoutError:
-            raise WorkerTimeout(worker, timeout) from None
-        except (RingDead, BrokenPipeError, OSError):
-            raise WorkerDied(worker) from None
-        self.note_sent(worker, frame.seq)
-
-    def _absorb(self, worker: int) -> None:
-        """Park ready responses while a request ring is full."""
-        ring = self._responses[worker]
-        pending = self._pending[worker]
-        while ring.poll():
-            try:
-                frame = ResponseFrame.from_bytes(ring.pop(timeout=1.0))
-            except SerializationError as exc:
-                raise WorkerFault(
-                    worker, f"sent an undecodable frame: {exc}"
-                ) from None
-            pending[frame.seq] = frame
-
-    def _recv_raw(
-        self, worker: int, timeout: Optional[float] = None
-    ) -> ResponseFrame:
-        # One doorbell byte per response frame.  ``_absorb`` pops frames
-        # without consuming their bytes, so a byte may refer to a frame
-        # already parked in pending — the subsequent ``pop`` then waits
-        # for the next real push, which is exactly the frame this call
-        # is after.
-        conn = self._signal_recv[worker]
-        if not _wait_readable(conn, self._alive_check(worker), worker, timeout):
-            raise WorkerTimeout(worker, timeout)
-        try:
-            conn.recv_bytes()
-        except (EOFError, OSError):
-            raise WorkerDied(worker) from None
-        try:
-            buf = self._responses[worker].pop(timeout=timeout)
-        except TimeoutError:
-            raise WorkerTimeout(worker, timeout) from None
-        except RingDead:
-            raise WorkerDied(worker) from None
-        try:
-            return ResponseFrame.from_bytes(buf)
-        except SerializationError as exc:
-            raise WorkerFault(worker, f"sent an undecodable frame: {exc}") from None
-
-    def reset_worker(self, worker: int) -> dict:
-        """Re-arm a dead worker's rings and doorbells for a respawn.
-
-        The rings live in the coordinator-owned segment, so a restart
-        just zeroes their counters in place (any half-written frame the
-        dead worker left behind is abandoned with them) and replaces
-        the four doorbell connection ends.  Returns the fresh worker
-        spec for the respawned process.
-        """
-        for conn in (
-            self._signal_send[worker],
-            self._signal_recv[worker],
-            self._child_req[worker],
-            self._child_resp[worker],
-        ):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        req_r, req_w = multiprocessing.Pipe(duplex=False)
-        resp_r, resp_w = multiprocessing.Pipe(duplex=False)
-        self._signal_send[worker] = req_w
-        self._signal_recv[worker] = resp_r
-        self._child_req[worker] = req_r
-        self._child_resp[worker] = resp_w
-        self._requests[worker].reset()
-        self._responses[worker].reset()
-        self.clear_pending(worker)
-        return self.worker_spec(worker)
-
-    def shutdown_worker(self, worker: int) -> None:
-        ring = self._responses[worker]
-        try:
-            self._requests[worker].push(
-                b"",
-                timeout=0.5,
-                on_stall=lambda: ring.drain(timeout=0.01),
-            )
-            self._signal_send[worker].send_bytes(b"x")
-        except (TimeoutError, RingDead, BrokenPipeError, OSError):
-            pass
-
-    def stats(self) -> dict:
-        return {
-            "ring_capacity": self.capacity,
-            "ring_occupancy": [
-                {
-                    "requests": int(req._head[0]) - int(req._tail[0]),
-                    "responses": int(resp._head[0]) - int(resp._tail[0]),
-                }
-                for req, resp in zip(self._requests, self._responses)
-            ],
-        }
-
-    def close(self) -> None:
-        # Abandon whatever the rings still hold (a dead worker may have
-        # left a frame mid-handshake); then drop the views and unlink.
-        for ring in self._responses:
-            ring.drain(timeout=0.02)
-        self._requests = []
-        self._responses = []
-        for conn in (
-            *self._signal_send,
-            *self._signal_recv,
-            *self._child_req,
-            *self._child_resp,
-        ):
-            try:
-                conn.close()
-            except OSError:
-                pass
-        try:
-            self._shm.close()
-        except BufferError:
-            pass
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:
-            pass
+        for worker in range(len(self._conns)):
+            self._close_worker(worker)
 
 
 class ProcessShardedService(FlatShardedBase):
@@ -621,15 +384,10 @@ class ProcessShardedService(FlatShardedBase):
             memory mapping (``from_saved(..., mmap=True)`` sets this).
             No shared-memory segment is created for the index and
             nothing is copied at startup.
-        transport: ``"ring"`` (default — shared-memory result rings) or
-            ``"pipe"`` (frame pipes).
         sub_batch: request-frame chunk size (0 = one frame per shard
             per batch).
         replicas: worker processes per shard; sub-batches go to the
             replica with the least outstanding pairs.
-        pin_workers: pin each worker to one core (round-robin over the
-            coordinator's affinity mask; no-op where unsupported).
-        ring_capacity: per-direction ring bytes (ring transport only).
         kernels: kernel tier (``"numpy"``/``"native"``/``None`` = auto);
             the resolved tier is shipped to every worker process.
         supervise: enable worker supervision — per-sub-batch deadlines,
@@ -658,21 +416,13 @@ class ProcessShardedService(FlatShardedBase):
         worker_cache_size: int = 0,
         flat: Optional[FlatIndex] = None,
         mmap_path: Optional[str] = None,
-        transport: str = "ring",
         sub_batch: int = 0,
         replicas: int = 1,
-        pin_workers: bool = False,
-        ring_capacity: int = DEFAULT_RING_CAPACITY,
         kernels: Optional[str] = None,
         supervise=None,
         recv_deadline_s: Optional[float] = None,
         faults=None,
     ) -> None:
-        if transport not in ("pipe", "ring"):
-            raise QueryError(
-                f"unknown transport plane {transport!r}: "
-                f"the process backend offers 'pipe' and 'ring'"
-            )
         super().__init__(
             index,
             num_shards,
@@ -686,7 +436,6 @@ class ProcessShardedService(FlatShardedBase):
             recv_deadline_s=recv_deadline_s,
         )
         self.worker_cache_size = int(worker_cache_size)
-        self.pin_workers = bool(pin_workers)
         self._faults = FaultPlan.coerce(faults)
         self._flat_meta = {
             "n": self.flat.n,
@@ -714,65 +463,34 @@ class ProcessShardedService(FlatShardedBase):
                 {**self.flat.arrays, "shard_assign": self._assign}
             )
             spec = self._bundle.spec
-        context = multiprocessing.get_context(start_method)
-        self._context = context
+        self._context = multiprocessing.get_context(start_method)
         self._spec = spec
         self._procs: list = []
-        self._conns: list = []
         self._generation = [0] * num_workers
-        pin_cores = (
-            self._pin_plan(num_workers)
-            if self.pin_workers
-            else [None] * num_workers
-        )
-        self._pin_cores = pin_cores
+        self._transport = PipeFrameTransport(self._procs, num_workers)
         try:
-            if transport == "ring":
-                self._transport = RingFrameTransport(
-                    num_workers, capacity=ring_capacity
-                )
-                self._transport.bind_procs(self._procs)
-                endpoints = [
-                    self._transport.worker_spec(w) for w in range(num_workers)
-                ]
-            else:
-                endpoints = []
-                for _ in range(num_workers):
-                    parent_conn, child_conn = context.Pipe()
-                    self._conns.append(parent_conn)
-                    endpoints.append(child_conn)
-                self._transport = PipeFrameTransport(self._conns)
-                self._transport.bind_procs(self._procs)
             for worker in range(num_workers):
-                proc = context.Process(
-                    target=_worker_main,
-                    args=(
-                        endpoints[worker], spec, self._flat_meta,
-                        pin_cores[worker], worker, 0,
-                    ),
-                    name=f"repro-procshard-{worker}",
-                    daemon=True,
-                )
-                proc.start()
-                if transport == "pipe":
-                    endpoints[worker].close()
-                else:
-                    self._transport.release_worker_ends(worker)
-                self._procs.append(proc)
+                self._procs.append(self._spawn(worker))
         except Exception:
             self.close()
             raise
         self._start_supervisor()
 
-    @staticmethod
-    def _pin_plan(num_workers: int) -> list:
-        """Round-robin worker→core assignments over our affinity mask."""
-        if not hasattr(os, "sched_getaffinity"):
-            return [None] * num_workers
-        cores = sorted(os.sched_getaffinity(0))
-        if not cores:
-            return [None] * num_workers
-        return [cores[i % len(cores)] for i in range(num_workers)]
+    def _spawn(self, worker: int):
+        """Open a fresh pipe for ``worker`` and start its process."""
+        child_conn = self._transport.open_worker(worker, self._context)
+        proc = self._context.Process(
+            target=_worker_main,
+            args=(
+                child_conn, self._spec, self._flat_meta,
+                worker, self._generation[worker],
+            ),
+            name=f"repro-procshard-{worker}",
+            daemon=True,
+        )
+        proc.start()
+        child_conn.close()
+        return proc
 
     # ------------------------------------------------------------------
     # construction
@@ -806,8 +524,8 @@ class ProcessShardedService(FlatShardedBase):
 
         After a timeout the worker's frame stream may be desynced
         mid-frame, so the only safe recovery is kill + restart — a
-        restarted worker re-attaches the shared substrate and its
-        transport lane is reset from a clean slate.
+        restarted worker re-attaches the shared substrate and gets a
+        fresh pipe.
         """
         proc = self._procs[worker]
         if proc.is_alive():
@@ -817,25 +535,9 @@ class ProcessShardedService(FlatShardedBase):
     def restart_worker(self, worker: int) -> bool:
         self.kill_worker(worker)
         self._generation[worker] += 1
-        endpoint = self._transport.reset_worker(worker)
-        proc = self._context.Process(
-            target=_worker_main,
-            args=(
-                endpoint, self._spec, self._flat_meta,
-                self._pin_cores[worker], worker, self._generation[worker],
-            ),
-            name=f"repro-procshard-{worker}",
-            daemon=True,
-        )
-        proc.start()
-        # Replace in place: the ring transport's liveness closures hold
-        # a reference to this list, so they start tracking the new
-        # process the moment the slot is overwritten.
-        self._procs[worker] = proc
-        if self._transport.name == "ring":
-            self._transport.release_worker_ends(worker)
-        else:
-            endpoint.close()
+        # Replace in place: the transport's liveness checks read this
+        # list by slot, so they track the new process at once.
+        self._procs[worker] = self._spawn(worker)
         return True
 
     # ------------------------------------------------------------------
@@ -881,11 +583,13 @@ class ProcessShardedService(FlatShardedBase):
         self._closed = True
         self._stop_supervisor()
         transport = getattr(self, "_transport", None)
-        if transport is not None:
-            for worker in range(len(self._procs)):
-                transport.shutdown_worker(worker)
-        for proc in self._procs:
-            proc.join(timeout=5)
+        told = [
+            transport is not None and transport.shutdown_worker(worker)
+            for worker in range(len(self._procs))
+        ]
+        for proc, stopping in zip(self._procs, told):
+            if stopping:
+                proc.join(timeout=5)
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1)

@@ -125,8 +125,8 @@ class ServiceApp:
             kernels: kernel tier for the query engines — ``"numpy"``,
                 ``"native"`` or ``None``/``"auto"``.
             backend_kwargs: forwarded to the shard backend constructor
-                (``transport=``, ``sub_batch=``, ``replicas=``,
-                ``pin_workers=``, ...); requires ``shards >= 1``.
+                (``sub_batch=``, ``replicas=``, ``supervise=``, ...);
+                requires ``shards >= 1``.
         """
         _check_worker_cache(worker_cache_size, shards, backend)
         if backend_kwargs and shards < 1:

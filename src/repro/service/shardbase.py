@@ -12,8 +12,7 @@ else lives here once:
   and the dict-free ``from_saved`` constructor (as before);
 * the :class:`ShardTransport` protocol — ``send(worker, RequestFrame)``
   / ``recv(worker, seq) -> ResponseFrame`` — that each backend
-  implements (inline thread dispatch, frame pipes, shared-memory
-  rings);
+  implements (inline thread dispatch, frame pipes);
 * the **one** coordinator ``query_columns`` loop: validate, partition by
   home shard, split into ``sub_batch``-sized chunks, route each chunk
   to the least-loaded replica (:class:`~repro.service.routing.ReplicaRouter`),
@@ -60,18 +59,12 @@ from repro.service.supervisor import (
 )
 from repro.service.wire import RequestFrame, ResponseFrame
 
-#: Transport planes a backend may offer.  The thread backend is always
-#: ``inline``; the process backend chooses between ``pipe`` and
-#: ``ring`` (its default).
-SHARD_TRANSPORTS = ("inline", "pipe", "ring")
-
-
 @runtime_checkable
 class ShardTransport(Protocol):
     """How request/response frames move between coordinator and workers.
 
     ``serial`` declares whether the transport multiplexes a byte stream
-    per worker (pipes, rings) — then the coordinator serialises batches
+    per worker (pipes) — then the coordinator serialises batches
     over it — or carries frames by reference with per-frame completion
     (inline), where concurrent batches may interleave freely.
     """
@@ -93,7 +86,7 @@ class ShardTransport(Protocol):
 
 
 class FrameStreamTransport:
-    """Recv bookkeeping shared by byte-stream transports (pipe, ring).
+    """Recv bookkeeping of byte-stream transports (the procpool pipe).
 
     Subclasses implement ``_recv_raw(worker) -> ResponseFrame`` (and
     ``send``, which must call :meth:`note_sent`); this base matches
@@ -707,7 +700,7 @@ class FlatShardedBase:
     def _fault_worker(self, worker: int, exc: BaseException) -> None:
         """After a transport fault: count it and put the worker down.
 
-        A wedged worker's stream can be desynchronised (a ring read may
+        A wedged worker's stream can be desynchronised (a pipe read may
         have stopped mid-frame), so the worker is killed outright — the
         next attempt to route to it restarts it with a reset transport,
         which is the only state we can trust again.

@@ -24,8 +24,8 @@ Under the GIL the worker threads interleave on one core, so this
 backend buys routing fidelity and zero startup cost rather than speed;
 :class:`~repro.service.procpool.ProcessShardedService` runs the
 identical engine on worker processes when throughput matters.  Results
-and MessageLog totals are identical across the two backends and all
-transports (pinned by parity tests and the CI smoke run).
+and MessageLog totals are identical across the two backends (pinned by
+parity tests and the CI smoke run).
 """
 
 from __future__ import annotations
@@ -134,7 +134,6 @@ class ShardedService(FlatShardedBase):
             per batch).
         replicas: worker threads per shard with load-aware routing —
             under the GIL this buys routing realism, not speed.
-        transport: must be ``"inline"`` (the only thread-backend plane).
         kernels: kernel tier (``"numpy"``/``"native"``/``None`` = auto).
         supervise: enable deadline/retry/failover supervision (``True``
             or a :class:`~repro.service.supervisor.SupervisorConfig`).
@@ -153,16 +152,10 @@ class ShardedService(FlatShardedBase):
         flat=None,
         sub_batch: int = 0,
         replicas: int = 1,
-        transport: str = "inline",
         kernels=None,
         supervise=None,
         recv_deadline_s=None,
     ) -> None:
-        if transport != "inline":
-            raise QueryError(
-                f"the threads backend only supports the inline transport "
-                f"plane, not {transport!r}"
-            )
         super().__init__(
             index,
             num_shards,

@@ -4,7 +4,7 @@ The §5 serving scheme assumes every shard worker answers every round
 trip; this module drops that assumption.  It gives the coordinator a
 policy object — :class:`SupervisorConfig` — and the state machine that
 enforces it — :class:`WorkerSupervisor` — so that a worker crash, an
-OOM kill, or a wedge that would otherwise hang a doorbell read forever
+OOM kill, or a wedge that would otherwise hang a pipe read forever
 degrades service instead of failing it:
 
 * **liveness tracking** — per-worker fault/restart accounting, with

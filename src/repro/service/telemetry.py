@@ -235,7 +235,7 @@ class Telemetry:
                 depth, flush mix, per-client counters.  Purely
                 additive: every pre-existing key keeps its shape
                 whether or not a front end is attached.
-            shard_transport: optional transport-plane block
+            shard_transport: optional shard-transport block
                 (:meth:`FlatShardedBase.transport_stats
                 <repro.service.shardbase.FlatShardedBase.transport_stats>`)
                 merged *additively* into ``snap["shards"]`` — transport

@@ -22,11 +22,10 @@ coordinator, so no transport ever serialises per pair again.
   :meth:`ResponseFrame.to_results` turns a frame back into
   :class:`~repro.core.oracle.QueryResult` objects.
 
-Frames travel three ways, all byte-identical in what they decode to:
-passed by reference (the thread backend's inline transport — the
-arrays are zero-copy views), as one ``to_bytes()`` blob down a pipe
-(the procpool ``pipe`` plane), or through a shared-memory result ring
-(the ``ring`` plane, no serialisation machinery at all).  Every column
+Frames travel two ways, byte-identical in what they decode to: passed
+by reference (the thread backend's inline transport — the arrays are
+zero-copy views), or as one ``to_bytes()`` blob down a pipe (the
+procpool ``pipe`` plane).  Every column
 is a fixed dtype, so ``to_bytes``/``from_bytes`` are a handful of
 buffer copies regardless of batch size.
 

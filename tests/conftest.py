@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,36 @@ def random_connected_graph(n: int, m: int, seed: int = 0, *, weighted: bool = Fa
     """Largest component of :func:`random_graph` (paper's setting)."""
     graph, _ = largest_component(random_graph(n, m, seed, weighted=weighted))
     return graph
+
+
+def finish_within(service, call, timeout: float = 60.0):
+    """Run ``call()`` and then ``service.close()``, or fail on a hang.
+
+    Both run in a thread joined with ``timeout``, so a procpool that
+    hangs fails the test instead of the suite.  Returns what ``call``
+    returned, or the exception it raised.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = call()
+        except Exception as exc:
+            outcome["value"] = exc
+        service.close()
+        outcome["closed"] = True
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout)
+    if caller.is_alive():
+        # Killing the workers breaks any blocked pipe wait, so the
+        # thread ends and the hang is reported.
+        for proc in service._procs:
+            proc.kill()
+        caller.join(timeout=10)
+    assert "closed" in outcome, f"the service hung past {timeout:g}s"
+    return outcome["value"]
 
 
 @pytest.fixture(scope="session")

@@ -14,8 +14,8 @@ the process backend with deterministic fault plans
 * a wedged worker can never hang the coordinator past the configured
   deadline — it surfaces as a typed :class:`WorkerTimeout`;
 * a worker killed *mid-frame* (request consumed, no response ever
-  produced) recovers on both transport planes, with and without
-  ``with_path`` payloads.
+  produced) recovers, with and without ``with_path`` payloads, and so
+  do the answers it had computed but not yet sent when it died.
 
 ``fork`` is used throughout for startup speed; the plans are
 frame-indexed, so every scenario reproduces exactly.
@@ -29,9 +29,13 @@ import pytest
 from repro.core.config import OracleConfig
 from repro.core.oracle import VicinityOracle
 from repro.exceptions import QueryError, WorkerTimeout
-from repro.service import ProcessShardedService, SupervisorConfig
+from repro.service import (
+    ProcessShardedService,
+    ShardedService,
+    SupervisorConfig,
+)
 
-from tests.conftest import random_connected_graph
+from tests.conftest import finish_within, random_connected_graph
 
 pytestmark = pytest.mark.skipif(
     "fork" not in __import__("multiprocessing").get_all_start_methods(),
@@ -114,18 +118,13 @@ class TestFailover:
         assert stats["workers"][0]["restarts"] >= 1
         assert all(b["state"] == "closed" for b in stats["breakers"])
 
-    @pytest.mark.parametrize("plane", ["ring", "pipe"])
     @pytest.mark.parametrize("kill_at", [1, 2])
-    def test_kill_mid_with_path_frame_both_planes(
-        self, index, pairs, expected, plane, kill_at
-    ):
+    def test_kill_mid_with_path_frame(self, index, pairs, expected, kill_at):
         # kill_at=1: dies on its very first frame (mid-frame, nothing
         # ever answered); kill_at=2: answers one frame, dies between
-        # sub-batches.  Path payloads make the response frames fat
-        # enough to exercise the ring reset path.
+        # sub-batches.  Path payloads make the response frames fat.
         with chaos_service(
             index,
-            transport=plane,
             replicas=2,
             supervise=True,
             faults={1: {"kill_after_frames": kill_at}},
@@ -133,6 +132,27 @@ class TestFailover:
             got = svc.query_batch(pairs, with_path=True)
             stats = svc.transport_stats()["supervisor"]
         assert got == expected["with_path"]
+        assert stats["restarts"] >= 1
+
+    @pytest.mark.parametrize("with_path", [False, True], ids=["plain", "path"])
+    def test_kill_with_responses_still_queued(
+        self, index, pairs, expected, with_path
+    ):
+        # Tiny sub-batches put many frames in flight per worker, so when
+        # worker 1 dies on its fifth frame, answers it already computed
+        # may still sit in its sender queue: they are lost with it, and
+        # failover must re-answer them.
+        with chaos_service(
+            index,
+            replicas=2,
+            supervise=True,
+            sub_batch=4,
+            faults={1: {"kill_after_frames": 5}},
+        ) as svc:
+            got = svc.query_batch(pairs, with_path=with_path)
+            stats = svc.transport_stats()["supervisor"]
+        assert got == expected["with_path" if with_path else "plain"]
+        assert stats["worker_deaths"] >= 1
         assert stats["restarts"] >= 1
 
     def test_sustained_churn_still_exact(self, index, pairs, expected):
@@ -235,6 +255,33 @@ class TestDeadlines:
         assert got == expected["plain"]
         assert stats["timeouts"] >= 1
         assert stats["restarts"] >= 1, "a poisoned worker is put down"
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_stalled_worker_cannot_block_the_send(self, index, supervised):
+        # Enough sub-batches to fill the stalled worker's request pipe,
+        # so the deadline has to fire on the send side; close() then
+        # runs with the worker still wedged (no kill_worker first).
+        batch = np.random.default_rng(5).integers(0, index.n, (40_000, 2))
+        if supervised:
+            kwargs = {
+                "replicas": 2, "supervise": SupervisorConfig(deadline_s=0.5),
+            }
+        else:
+            kwargs = {"recv_deadline_s": 0.5}
+        svc = chaos_service(
+            index,
+            sub_batch=64,
+            faults={0: {"stall_at_frame": 1, "stall_s": 60.0}},
+            **kwargs,
+        )
+        start = time.monotonic()
+        got = finish_within(svc, lambda: svc.query_batch(batch), timeout=20)
+        assert time.monotonic() - start < 10.0
+        if supervised:
+            with ShardedService(index, 2, sub_batch=64) as threads:
+                assert got == threads.query_batch(batch)
+        else:
+            assert isinstance(got, WorkerTimeout)
 
 
 class TestWireFaults:

@@ -21,7 +21,7 @@ from repro.service import (
     create_shard_backend,
 )
 
-from tests.conftest import random_connected_graph
+from tests.conftest import finish_within, random_connected_graph
 
 
 def log_totals(service):
@@ -161,16 +161,13 @@ class TestEdgeCases:
         with pytest.raises(QueryError):
             ProcessShardedService(None, 2)
 
-    @pytest.mark.parametrize("transport", ["pipe", "ring"])
-    def test_stale_replies_do_not_misalign_later_batches(
-        self, index, pairs, transport
-    ):
+    def test_stale_replies_do_not_misalign_later_batches(self, index, pairs):
         """Regression: a worker frame from an aborted exchange must not
         be mistaken for a later batch's answer."""
         from repro.service.wire import RequestFrame
 
         sample = pairs[:40]
-        with ProcessShardedService(index, 2, transport=transport) as service:
+        with ProcessShardedService(index, 2) as service:
             expected = service.query_batch(sample)
             # Inject a foreign exchange: the worker answers this frame
             # with a stale sequence number no batch will ever collect.
@@ -179,6 +176,81 @@ class TestEdgeCases:
             assert service.query_batch(sample, with_path=True) == service.query_batch(
                 sample, with_path=True
             )
+
+
+class TestLargeBatches:
+    """Regression: the coordinator sends every frame of a batch before
+    it receives any.  A worker that blocked writing a response nobody
+    read yet stopped draining requests, so a big enough sub-batched
+    batch filled both pipes and hung forever."""
+
+    @pytest.mark.parametrize(
+        "sub_batch, with_path, size",
+        [(64, False, 40_000), (1024, False, 40_000), (64, True, 20_000)],
+    )
+    def test_sub_batched_request_does_not_deadlock(
+        self, index, sub_batch, with_path, size
+    ):
+        batch = np.random.default_rng(1).integers(0, index.n, (size, 2))
+        service = ProcessShardedService(index, 2, sub_batch=sub_batch)
+        got = finish_within(
+            service, lambda: service.query_batch(batch, with_path=with_path)
+        )
+        with ShardedService(index, 2, sub_batch=sub_batch) as threads:
+            assert got == threads.query_batch(batch, with_path=with_path)
+
+
+class TestWorkerPipe:
+    def test_clean_shutdown_flushes_queued_responses(self, index, pairs):
+        """A worker told to stop still sends every response it queued
+        before its pipe closes."""
+        from repro.service.wire import RequestFrame
+
+        service = ProcessShardedService(index, 1)
+        try:
+            transport = service._transport
+            # More response bytes than the pipe buffers, so answers are
+            # still queued in the worker when the stop sentinel arrives.
+            seqs = list(range(1000, 1040))
+            for seq in seqs:
+                transport.send(0, RequestFrame(seq, pairs, True))
+            transport.shutdown_worker(0)
+            got = [transport._recv_raw(0, timeout=10) for _ in seqs]
+            assert [frame.seq for frame in got] == seqs
+            assert all(frame.ok for frame in got)
+            proc = service._procs[0]
+            proc.join(timeout=10)
+            assert proc.exitcode == 0
+        finally:
+            service.close()
+
+    def test_worker_exits_when_coordinator_closes_mid_batch(self, index, pairs):
+        """Responses nobody will read must not keep the worker (or its
+        sender thread) alive once the coordinator's end is gone."""
+        from repro.service.wire import RequestFrame
+
+        service = ProcessShardedService(index, 1)
+        try:
+            transport = service._transport
+            for seq in range(1000, 1040):
+                transport.send(0, RequestFrame(seq, pairs, True))
+            transport._close_worker(0)
+            proc = service._procs[0]
+            proc.join(timeout=20)
+            assert not proc.is_alive()
+        finally:
+            service.close()
+
+    def test_restarted_worker_gets_a_fresh_pipe(self, index, pairs):
+        sample = pairs[:60]
+        with ProcessShardedService(index, 2) as service:
+            expected = service.query_batch(sample)
+            old_conn = service._transport._conns[0]
+            service.restart_worker(0)
+            assert service._transport._conns[0] is not old_conn
+            assert old_conn.closed
+            assert service.query_batch(sample) == expected
+            assert service.transport_stats()["transport"] == "pipe"
 
 
 class TestComposition:

@@ -1,16 +1,12 @@
-"""Transport-plane parity and plumbing: inline vs pipe-frame vs ring.
+"""Transport-plane parity and plumbing: inline vs pipe-frame.
 
 The refactor invariant pinned here: the *same* saved-index semantics —
 results (distance, method, witness, probes, path) and MessageLog
 wire-byte accounting — must be byte-identical no matter which transport
 moved the frames, including under sub-batch chunking and replica
-routing.  Plus the failure-mode contracts: stale frames are discarded,
-dead workers surface as ``QueryError`` (never a hang), and a ring left
-mid-handshake by a dead producer must not hang ``drain()``.
+routing.  Plus the failure-mode contracts: stale frames are discarded
+and dead workers surface as ``QueryError`` (never a hang).
 """
-
-import struct
-import threading
 
 import numpy as np
 import pytest
@@ -18,7 +14,6 @@ import pytest
 from repro.core.config import OracleConfig
 from repro.core.oracle import QueryResult, VicinityOracle
 from repro.exceptions import QueryError
-from repro.io.shm import RingBuffer
 from repro.service import (
     ProcessShardedService,
     ReplicaRouter,
@@ -36,9 +31,8 @@ SHARDS = 3
 CONFIGS = [
     ("threads", {}),
     ("threads", {"sub_batch": 17, "replicas": 2}),
-    ("procpool", {"transport": "pipe"}),
-    ("procpool", {"transport": "ring"}),
-    ("procpool", {"transport": "ring", "sub_batch": 23, "replicas": 2}),
+    ("procpool", {}),
+    ("procpool", {"sub_batch": 23, "replicas": 2}),
 ]
 
 
@@ -107,19 +101,9 @@ class TestTransportParity:
                 assert row["depth"] == [0]
             assert stats["execute_s"] > 0.0
 
-    def test_ring_stats_expose_occupancy(self, index, pairs):
-        with ProcessShardedService(index, 2, transport="ring") as service:
-            service.query_batch(pairs[:40])
-            stats = service.transport_stats()
-            assert stats["transport"] == "ring"
-            assert stats["ring_capacity"] > 0
-            assert len(stats["ring_occupancy"]) == 2
-            for occupancy in stats["ring_occupancy"]:
-                assert occupancy == {"requests": 0, "responses": 0}
-
     def test_replicas_fan_out_workers(self, index, pairs):
         with ProcessShardedService(
-            index, 2, transport="ring", replicas=2, sub_batch=8
+            index, 2, replicas=2, sub_batch=8
         ) as service:
             expected = None
             for _ in range(3):
@@ -128,6 +112,7 @@ class TestTransportParity:
                 assert got == expected
             assert len(service._procs) == 4
             stats = service.transport_stats()
+            assert stats["transport"] == "pipe"
             assert stats["replicas"] == 2
             for row in stats["per_shard"]:
                 assert row["depth"] == [0, 0]
@@ -179,59 +164,9 @@ class TestWireFrames:
             clone.to_results([], integral=True)
 
 
-class TestRingBuffer:
-    def _ring(self, capacity=256):
-        buf = bytearray(RingBuffer.region_bytes(capacity))
-        ring = RingBuffer(buf, 0, capacity)
-        ring.reset()
-        return ring
-
-    def test_round_trip_and_wraparound(self):
-        ring = self._ring(96)
-        for i in range(50):  # cycles the ring many times over
-            payload = bytes([i % 251]) * (i % 60)
-            ring.push(payload)
-            assert ring.pop() == payload
-        assert not ring.poll()
-
-    def test_frame_larger_than_capacity_streams(self):
-        ring = self._ring(64)
-        payload = bytes(range(256)) * 8  # 2 KiB through a 64-byte ring
-        got = {}
-
-        def consume():
-            got["frame"] = ring.pop(timeout=5.0)
-
-        thread = threading.Thread(target=consume)
-        thread.start()
-        ring.push(payload, timeout=5.0)
-        thread.join(timeout=5.0)
-        assert got["frame"] == payload
-
-    def test_drain_mid_handshake_does_not_hang(self):
-        """A dead producer can publish a length prefix and nothing else;
-        drain() must give up on the partial frame, not wait for it."""
-        ring = self._ring(128)
-        ring.push(b"whole frame")
-        prefix = np.frombuffer(struct.pack("<Q", 100), dtype=np.uint8)
-        head = int(ring._head[0])
-        pos = head % ring.capacity
-        ring._data[pos:pos + 8] = prefix
-        ring._head[0] = head + 8
-        assert ring.drain(timeout=0.05) == 1  # the whole frame only
-        with pytest.raises(TimeoutError):
-            ring.pop(timeout=0.05)
-
-    def test_pop_timeout_on_empty(self):
-        ring = self._ring()
-        with pytest.raises(TimeoutError):
-            ring.pop(timeout=0.05)
-
-
 class TestWorkerFailure:
-    @pytest.mark.parametrize("transport", ["pipe", "ring"])
-    def test_dead_worker_raises_instead_of_hanging(self, index, pairs, transport):
-        service = ProcessShardedService(index, 2, transport=transport)
+    def test_dead_worker_raises_instead_of_hanging(self, index, pairs):
+        service = ProcessShardedService(index, 2)
         try:
             baseline = service.query_batch(pairs[:20])
             assert baseline
