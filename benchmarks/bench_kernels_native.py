@@ -6,9 +6,13 @@ the two tiers head to head on the CI smoke graph:
 
 * the fused batch lane (``FlatQueryEngine.query_batch`` in
   serving-sized batches: one C call per batch natively, the vectorised
-  lanes on numpy) and the per-pair ``intersect_payload`` scan that path
-  reconstruction uses — the native tier must never be slower than
-  numpy;
+  lanes on numpy), the same lane with ``with_path=True`` (plus the C
+  path walker's two calls natively, the Python chain walks on numpy),
+  and the per-pair ``intersect_payload`` scan of the shard workers'
+  cache lane — the native tier must never be slower than numpy;
+* the native pathed/pathless per-pair cost ratio of the batch lane,
+  which must stay <= 2.0 (a path should cost about what a distance
+  costs);
 * the fused scalar ``query()`` loop — one C call per pair instead of
   seven numpy step dispatches — which must answer a warm single query
   in single-digit microseconds (p50 <= 10 us) at >= 5x over the numpy
@@ -51,6 +55,8 @@ LANE = 20000
 BATCH = 256
 #: Pairs for the per-call races (scalar query, intersect_payload).
 PAIRS = 2500
+#: Highest native pathed/pathless per-pair cost ratio of the batch lane.
+PATH_COST_RATIO_MAX = 2.0
 #: Timed passes per lane; the recorded figure is the best pass (shared
 #: CI boxes see scheduler noise — the best pass is the steady state).
 REPS = 5
@@ -97,6 +103,24 @@ def _race_per_call(calls) -> dict:
     return best
 
 
+def _path_cost_ratio(engine, batches) -> float:
+    """Pathed/pathless per-pair cost of ``engine``'s batch lane.
+
+    The two lanes are timed alternately and each keeps its best pass,
+    so drift on a shared box hits both sides alike.
+    """
+    best = {False: float("inf"), True: float("inf")}
+    for _ in range(REPS + 1):  # the first round warms both lanes
+        for with_path in best:
+            started = time.perf_counter_ns()
+            for batch in batches:
+                engine.query_batch(batch, with_path=with_path)
+            best[with_path] = min(
+                best[with_path], time.perf_counter_ns() - started
+            )
+    return best[True] / best[False]
+
+
 def _normalise(value):
     """Tier-comparable view of a kernel result (arrays -> lists)."""
     if isinstance(value, tuple):
@@ -136,25 +160,32 @@ def run_smoke(scale: float = 0.0008, pairs: int = PAIRS) -> int:
     failures: list[str] = []
     kernels_report: dict[str, dict] = {}
 
-    # --- fused batch lane + per-pair payload scan ---------------------
-    entry = {"calls": LANE, "batch": BATCH}
-    reference = None
-    for tier in tiers:
-        # The flat index is shared: build and measure each tier's
-        # engine before the next one flips it.
-        engine = FlatQueryEngine.from_index(index, kernels=tier)
-        assert engine.kernels == tier
+    # --- fused batch lane (plain and pathed) + per-pair payload scan --
+    for name, with_path in (("query_batch", False), ("query_batch_path", True)):
+        entry = {"calls": LANE, "batch": BATCH}
+        reference = None
+        for tier in tiers:
+            # The flat index is shared: build and measure each tier's
+            # engine before the next one flips it.
+            engine = FlatQueryEngine.from_index(index, kernels=tier)
+            assert engine.kernels == tier
 
-        def run(engine=engine):
-            return [r for batch in batches for r in engine.query_batch(batch)]
+            def run(engine=engine, with_path=with_path):
+                return [
+                    r for batch in batches
+                    for r in engine.query_batch(batch, with_path=with_path)
+                ]
 
-        got = [(r.distance, r.method, r.witness, r.probes) for r in run()]
-        if reference is None:
-            reference = got
-        elif got != reference:
-            failures.append("query_batch: tiers disagree")
-        entry[tier] = _race_lane(run, LANE)
-    kernels_report["query_batch"] = entry
+            got = [
+                (r.distance, r.method, r.witness, r.probes, r.path)
+                for r in run()
+            ]
+            if reference is None:
+                reference = got
+            elif got != reference:
+                failures.append(f"{name}: tiers disagree")
+            entry[tier] = _race_lane(run, LANE)
+        kernels_report[name] = entry
 
     entry = {"calls": len(payloads)}
     reference = None
@@ -179,6 +210,17 @@ def run_smoke(scale: float = 0.0008, pairs: int = PAIRS) -> int:
         if entry["speedup"] < 1.0:
             failures.append(
                 f"{name}: native slower than numpy ({entry['speedup']:.2f}x)"
+            )
+
+    pathed = kernels_report["query_batch_path"]
+    if "native" in pathed:
+        pathed["path_cost_ratio"] = round(_path_cost_ratio(
+            FlatQueryEngine.from_index(index, kernels="native"), batches
+        ), 2)
+        if pathed["path_cost_ratio"] > PATH_COST_RATIO_MAX:
+            failures.append(
+                f"query_batch_path: native pathed/pathless per-pair cost "
+                f"{pathed['path_cost_ratio']:.2f}x > {PATH_COST_RATIO_MAX}x"
             )
 
     # --- fused scalar query loop --------------------------------------
@@ -262,7 +304,8 @@ def run_smoke(scale: float = 0.0008, pairs: int = PAIRS) -> int:
         print(
             "ok: native tier bit-identical and never slower; scalar query "
             f"p50 {scalar['native']['p50_ms'] * 1e3:.2f} us "
-            f"({scalar['speedup']:.2f}x over numpy)"
+            f"({scalar['speedup']:.2f}x over numpy); a pathed pair costs "
+            f"{pathed['path_cost_ratio']:.2f}x a pathless one"
         )
     return 0
 

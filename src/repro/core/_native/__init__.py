@@ -5,17 +5,21 @@ best-effort ``setup.py`` hook) into a plain shared library next to this
 file; no CPython extension module, no numpy C-API.  This module loads
 it lazily, checks that a :class:`~repro.core.flat.FlatIndex`'s arrays
 fit the compiled accessors (compact dtypes, C-contiguous), and exposes
-three entry points whose outputs are *bit-identical* to the numpy tier
+four entry points whose outputs are *bit-identical* to the numpy tier
 — pinned by the dual-tier parity suites:
 
 * :func:`make_pair_resolver` — the fused scalar Algorithm 1 loop behind
-  ``FlatQueryEngine.resolve`` (no path);
+  ``FlatQueryEngine.resolve``;
 * :meth:`NativeKernels.query_pairs` — the same loop over a whole pair
   array in one call, writing result columns: the native batch lane of
   ``FlatQueryEngine.resolve_many`` and ``ShardQueryEngine.answer_columns``;
+* :meth:`NativeKernels.query_paths` — the predecessor/parent walks and
+  witness splice of every answered row in two calls (lengths, then
+  nodes into a caller-owned buffer): the ``with_path`` answers of the
+  batch lanes, of the shard workers' frames and of the scalar resolver;
 * :meth:`NativeKernels.intersect_payload` — one intersection scan, for
-  the per-pair loops (scalar ``with_path`` resolution, the shard
-  workers' path/cache lane).
+  the per-pair loops (the shard workers' cache lane, and the numpy
+  steps ``resolve`` falls back to).
 
 The numpy tier keeps its own vectorised batch lanes; they also serve as
 the native tier's error path when the C side meets an inconsistent
@@ -84,6 +88,9 @@ _ID_KINDS = {
     np.dtype(np.int64): 2,
 }
 _OFF_KINDS = {np.dtype(np.uint32): 0, np.dtype(np.int64): 1}
+#: Predecessor/parent column dtypes: the id kinds plus the legacy wide
+#: store's int32 ``table_parent`` (kernels.c LINK_I32).
+_LINK_KINDS = {**_ID_KINDS, np.dtype(np.int32): 3}
 _DIST_KINDS = {
     np.dtype(np.int32): 0,
     np.dtype(np.float32): 1,
@@ -107,7 +114,7 @@ class _FlatView(ctypes.Structure):
         ("mem_off_kind", ctypes.c_int32),
         ("bnd_off_kind", ctypes.c_int32),
         ("has_tables", ctypes.c_int32),
-        ("pad_", ctypes.c_int32),
+        ("has_parents", ctypes.c_int32),
         ("vic_offsets", ctypes.c_void_p),
         ("vic_nodes", ctypes.c_void_p),
         ("vic_dists", ctypes.c_void_p),
@@ -118,6 +125,10 @@ class _FlatView(ctypes.Structure):
         ("boundary_dists", ctypes.c_void_p),
         ("table_dist", ctypes.c_void_p),
         ("landmark_row", ctypes.c_void_p),
+        ("vic_preds", ctypes.c_void_p),
+        ("table_parent", ctypes.c_void_p),
+        ("pred_kind", ctypes.c_int32),
+        ("parent_kind", ctypes.c_int32),
     ]
 
 
@@ -153,6 +164,10 @@ def _declare(lib: ctypes.CDLL) -> None:
         view, view, p, p, i64, i64, i32, p, p, p, p, p, p, p,
     ]
     lib.repro_query_pairs.restype = i64
+    lib.repro_query_paths.argtypes = [
+        view, view, p, p, i64, i64, p, p, p, p,
+    ]
+    lib.repro_query_paths.restype = i64
 
 
 def library_path():
@@ -264,6 +279,21 @@ def view_mismatch(flat) -> Optional[str]:
     return None
 
 
+def walk_mismatch(flat) -> Optional[str]:
+    """Why ``flat``'s predecessor/parent columns cannot feed the C
+    walker (``None`` when they can); the engines then walk in Python."""
+    preds, parents = flat.vic_preds, flat.table_parent
+    if preds.dtype not in _LINK_KINDS or parents.dtype not in _LINK_KINDS:
+        return f"unsupported predecessor dtypes {preds.dtype}/{parents.dtype}"
+    if preds.shape != flat.vic_nodes.shape:
+        return "vic_preds is not aligned with vic_nodes"
+    if flat.has_parents and parents.shape != flat.table_dist.shape:
+        return "table_parent does not match table_dist"
+    if not _contiguous(preds, parents):
+        return "predecessor columns are not C-contiguous"
+    return None
+
+
 def native_kernels(flat):
     """``(NativeKernels, None)`` for a supported index, else ``(None, why)``."""
     lib = load_library()
@@ -284,7 +314,7 @@ class NativeKernels:
 
     __slots__ = (
         "lib", "view", "dist_dtype", "_integral", "_refs", "_view_ref",
-        "_n", "_tls",
+        "_n", "_tls", "walks",
     )
 
     def __init__(self, flat, lib: ctypes.CDLL) -> None:
@@ -319,6 +349,14 @@ class NativeKernels:
         view.boundary_dists = flat.boundary_dists.ctypes.data
         view.table_dist = flat.table_dist.ctypes.data
         view.landmark_row = flat.landmark_row.ctypes.data
+        #: Whether :meth:`query_paths` may walk this index's chains.
+        self.walks = walk_mismatch(flat) is None
+        if self.walks:
+            view.has_parents = 1 if flat.has_parents else 0
+            view.vic_preds = flat.vic_preds.ctypes.data
+            view.table_parent = flat.table_parent.ctypes.data
+            view.pred_kind = _LINK_KINDS[flat.vic_preds.dtype]
+            view.parent_kind = _LINK_KINDS[flat.table_parent.dtype]
         self.view = view
         self._view_ref = ctypes.byref(view)
 
@@ -410,6 +448,37 @@ class NativeKernels:
         )
         return done == m
 
+    def query_paths(self, inn, pairs, method, witness):
+        """Walk the paths of a batch's answered rows in C.
+
+        ``pairs``, ``method`` and ``witness`` are the pair array and
+        the columns :meth:`query_pairs` filled (``self`` the source
+        side, ``inn`` the target side).  Returns ``(offsets, nodes)``:
+        row ``i``'s ``[source .. target]`` path is
+        ``nodes[offsets[i]:offsets[i + 1]]``, empty for a miss or a
+        disconnected pair.  ``None`` means a broken or cyclic chain (the
+        caller re-walks in Python, which raises).
+        """
+        pairs = np.ascontiguousarray(pairs, dtype=np.int64)
+        method = np.ascontiguousarray(method, dtype=np.uint8)
+        witness = np.ascontiguousarray(witness, dtype=np.int64)
+        m = pairs.shape[0]
+        offsets = np.empty(m + 1, dtype=np.int64)
+        base = pairs.ctypes.data
+        args = (
+            self._view_ref, inn._view_ref, base, base + 8, 2, m,
+            method.ctypes.data, witness.ctypes.data, offsets.ctypes.data,
+        )
+        total = self.lib.repro_query_paths(*args, None)
+        if total < 0:
+            return None
+        nodes = np.empty(total, dtype=np.int64)
+        if total and self.lib.repro_query_paths(
+            *args, nodes.ctypes.data
+        ) != total:
+            return None
+        return offsets, nodes
+
 
 def _bind(out_flat, inn_flat, kernel):
     """``(out_native, inn_native, kernel_code)``, or ``None`` unless both
@@ -434,6 +503,20 @@ def make_columns_resolver(out_flat, inn_flat, kernel):
         return None
     out_nk, inn_nk, code = bound
     return partial(out_nk.query_pairs, inn_nk, code)
+
+
+def make_paths_resolver(out_flat, inn_flat):
+    """The C path walker bound to both sides, or ``None`` unless both
+    run the native tier with walkable predecessor columns.
+
+    The returned ``walk(pairs, method, witness)`` is
+    :meth:`NativeKernels.query_paths`.
+    """
+    out_nk = getattr(out_flat, "_native", None)
+    inn_nk = getattr(inn_flat, "_native", None)
+    if out_nk is None or inn_nk is None or not (out_nk.walks and inn_nk.walks):
+        return None
+    return partial(out_nk.query_paths, inn_nk)
 
 
 def make_pair_resolver(out_flat, inn_flat, kernel, result_cls, integral):

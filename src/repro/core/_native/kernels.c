@@ -10,6 +10,10 @@
  *   repro_query_pair         <->  FlatQueryEngine.resolve (no-path)
  *   repro_query_pairs        <->  FlatQueryEngine.resolve_many's numpy
  *                                 lanes (method/witness/probe columns)
+ *   repro_query_paths        <->  FlatQueryEngine._path_of over a batch
+ *                                 (pred_chain / parent_chain walks and the
+ *                                 witness splice, into offset + node
+ *                                 columns)
  *
  * Parity invariants the code below must preserve (pinned by the
  * dual-tier suites in tests/core/):
@@ -18,7 +22,9 @@
  *   - membership uses the member slice, distances the vic slice,
  *     except the unweighted intersect_payload fast path where the
  *     vic slice settles both (exactly like the numpy kernels);
- *   - unreachable table entries are d < 0 or d == inf.
+ *   - unreachable table entries are d < 0 or d == inf;
+ *   - a predecessor or parent outside [0, n) ends a chain as broken,
+ *     and a walk gets the same hop budget as its Python twin.
  *
  * Dtype polymorphism is handled by tiny switch-based accessors: the
  * kind codes are fixed per index, so the branches predict perfectly
@@ -38,6 +44,8 @@
 #define DIST_I32 0
 #define DIST_F32 1
 #define DIST_F64 2
+/* predecessor/parent columns: the id kinds plus the legacy int32 parents */
+#define LINK_I32 3
 
 /* method wire codes — must match repro.core.oracle.METHOD_CODE */
 #define M_IDENTICAL 0
@@ -65,7 +73,7 @@ typedef struct {
     int32_t mem_off_kind;
     int32_t bnd_off_kind;
     int32_t has_tables;
-    int32_t pad_;
+    int32_t has_parents;
     const void *vic_offsets;
     const void *vic_nodes;
     const void *vic_dists;
@@ -76,6 +84,10 @@ typedef struct {
     const void *boundary_dists;
     const void *table_dist;       /* rows x n, row-major */
     const int32_t *landmark_row;  /* n entries, -1 = not a landmark */
+    const void *vic_preds;        /* aligned with vic_nodes */
+    const void *table_parent;     /* rows x n, row-major */
+    int32_t pred_kind;
+    int32_t parent_kind;
 } FlatView;
 
 static inline int64_t get_off(const void *p, int32_t kind, int64_t i)
@@ -92,6 +104,20 @@ static inline int64_t get_id(const void *p, int32_t kind, int64_t i)
         return (int64_t)((const uint16_t *)p)[i];
     case ID_U32:
         return (int64_t)((const uint32_t *)p)[i];
+    default:
+        return ((const int64_t *)p)[i];
+    }
+}
+
+static inline int64_t get_link(const void *p, int32_t kind, int64_t i)
+{
+    switch (kind) {
+    case ID_U16:
+        return (int64_t)((const uint16_t *)p)[i];
+    case ID_U32:
+        return (int64_t)((const uint32_t *)p)[i];
+    case LINK_I32:
+        return (int64_t)((const int32_t *)p)[i];
     default:
         return ((const int64_t *)p)[i];
     }
@@ -554,4 +580,174 @@ int64_t repro_query_pairs(
         probes_out[i] = p;
     }
     return m;
+}
+
+
+/* FlatIndex.pred_chain: walk u's predecessor entries from `start` back
+ * to `root`, writing the nodes start .. root to dst[0 ..] (dst == NULL
+ * only counts).  Returns the node count, or -1 on a broken or cyclic
+ * chain, or when the walk would write more than `cap` nodes. */
+static int64_t pred_walk(
+    const FlatView *v, int64_t u, int64_t start, int64_t root,
+    int64_t *dst, int64_t cap)
+{
+    int64_t lo = get_off(v->vic_offsets, v->vic_off_kind, u);
+    int64_t hi = get_off(v->vic_offsets, v->vic_off_kind, u + 1);
+    int64_t node = start;
+    int64_t count = 1;
+    if (cap < 1)
+        return -1;
+    if (dst != NULL)
+        dst[0] = node;
+    for (int64_t hop = 0; hop <= hi - lo; hop++) {
+        int64_t pos;
+        if (node == root)
+            return count;
+        pos = lower_bound(v->vic_nodes, v->id_kind, lo, hi, node);
+        if (pos >= hi || get_id(v->vic_nodes, v->id_kind, pos) != node)
+            return -1;
+        node = get_link(v->vic_preds, v->pred_kind, pos);
+        if (node < 0 || node >= v->n || count >= cap)
+            return -1;
+        if (dst != NULL)
+            dst[count] = node;
+        count++;
+    }
+    return -1;
+}
+
+/* FlatIndex.parent_chain (walk_parent_array) over landmark `lm`'s
+ * parent row: nodes start .. lm, same contract as pred_walk. */
+static int64_t parent_walk(
+    const FlatView *v, int64_t lm, int64_t start, int64_t *dst, int64_t cap)
+{
+    int64_t row, base;
+    int64_t node = start;
+    int64_t count = 1;
+    if (!v->has_parents || cap < 1)
+        return -1;
+    row = (int64_t)v->landmark_row[lm];
+    if (row < 0)
+        return -1;
+    base = row * v->n;
+    if (dst != NULL)
+        dst[0] = node;
+    for (int64_t hop = 0; hop <= v->n; hop++) {
+        if (node == lm)
+            return count;
+        node = get_link(v->table_parent, v->parent_kind, base + node);
+        if (node < 0 || node >= v->n || count >= cap)
+            return -1;
+        if (dst != NULL)
+            dst[count] = node;
+        count++;
+    }
+    return -1;
+}
+
+static void reverse_nodes(int64_t *p, int64_t len)
+{
+    for (int64_t i = 0, j = len - 1; i < j; i++, j--) {
+        int64_t tmp = p[i];
+        p[i] = p[j];
+        p[j] = tmp;
+    }
+}
+
+/* One answered row's path in [source .. target] order (FlatQueryEngine
+ * ._path_of): writes at most `cap` nodes to dst (NULL = count only).
+ * Returns the length, 0 for rows without a path (miss, disconnected),
+ * or -1 on a broken or cyclic chain. */
+static int64_t path_into(
+    const FlatView *out, const FlatView *inn,
+    int64_t s, int64_t t, int32_t code, int64_t w,
+    int64_t *dst, int64_t cap)
+{
+    int64_t k, k2;
+    switch (code) {
+    case M_IDENTICAL:
+        if (cap < 1)
+            return -1;
+        if (dst != NULL)
+            dst[0] = s;
+        return 1;
+    case M_LM_SOURCE: /* walk t -> s, then flip */
+        k = parent_walk(out, s, t, dst, cap);
+        if (k > 0 && dst != NULL)
+            reverse_nodes(dst, k);
+        return k;
+    case M_LM_TARGET: /* s -> t is already the walk order */
+        return parent_walk(inn, t, s, dst, cap);
+    case M_T_IN_S:
+        k = pred_walk(out, s, t, s, dst, cap);
+        if (k > 0 && dst != NULL)
+            reverse_nodes(dst, k);
+        return k;
+    case M_S_IN_T:
+        return pred_walk(inn, t, s, t, dst, cap);
+    case M_INTERSECTION:
+        /* [s .. w] from Gamma(s), then [w .. t] from Gamma(t) written
+         * over the shared w. */
+        k = pred_walk(out, s, w, s, dst, cap);
+        if (k < 0)
+            return -1;
+        if (dst != NULL)
+            reverse_nodes(dst, k);
+        k2 = pred_walk(inn, t, w, t, dst != NULL ? dst + k - 1 : NULL,
+                       cap - k + 1);
+        return k2 < 0 ? -1 : k + k2 - 1;
+    case M_MISS:
+    case M_DISCONNECTED:
+        return 0;
+    default:
+        return -1;
+    }
+}
+
+/* Paths of a batch's answered rows, from the method and witness columns
+ * repro_query_pairs wrote, in two passes so C allocates nothing:
+ *
+ *   nodes == NULL  fills offsets[0 .. m] (row i's path is
+ *                  nodes[offsets[i] .. offsets[i + 1]), empty when the
+ *                  row has none) and returns the total node count;
+ *   nodes != NULL  fills the caller's node buffer of that size from the
+ *                  offsets pass 1 wrote and returns the same total.
+ *
+ * Pairs are read with repro_query_pairs' stride.  Returns -1 on a broken
+ * or cyclic chain (the caller re-walks in Python, which raises). */
+int64_t repro_query_paths(
+    const FlatView *out,
+    const FlatView *inn,
+    const int64_t *sources,
+    const int64_t *targets,
+    int64_t stride,
+    int64_t m,
+    const uint8_t *method,
+    const int64_t *witness,
+    int64_t *offsets,
+    int64_t *nodes)
+{
+    if (nodes == NULL) {
+        int64_t total = 0;
+        offsets[0] = 0;
+        for (int64_t i = 0; i < m; i++) {
+            int64_t k = path_into(
+                out, inn, sources[i * stride], targets[i * stride],
+                (int32_t)method[i], witness[i], NULL, INT64_MAX);
+            if (k < 0)
+                return -1;
+            total += k;
+            offsets[i + 1] = total;
+        }
+        return total;
+    }
+    for (int64_t i = 0; i < m; i++) {
+        int64_t len = offsets[i + 1] - offsets[i];
+        int64_t k = len == 0 ? 0 : path_into(
+            out, inn, sources[i * stride], targets[i * stride],
+            (int32_t)method[i], witness[i], nodes + offsets[i], len);
+        if (k != len)
+            return -1;
+    }
+    return offsets[m];
 }

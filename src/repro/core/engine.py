@@ -217,6 +217,51 @@ def _unique_pairs(arr, n):
     )
     return arr[first], inverse
 
+
+def _split_paths(offsets, nodes):
+    """Per-row paths from the C walker's offset and node columns
+    (``None`` for a row without one)."""
+    flat = nodes.tolist()
+    bounds = offsets.tolist()
+    return [flat[a:b] or None for a, b in zip(bounds, bounds[1:])]
+
+
+def path_of(out, inn, source, target, code, witness):
+    """The ``[source .. target]`` path of an answered pair, from its
+    method code: the Python walk over ``out`` (source side) and ``inn``
+    (target side) that the C walker mirrors, and its error path — a
+    broken or cyclic chain raises :class:`QueryError`."""
+    if code == _IDENTICAL:
+        return [source]
+    if code == _LM_SOURCE:
+        return out.parent_chain(source, target)
+    if code == _T_IN_S:
+        return out.pred_chain(source, target, source)
+    if code == _INTERSECTION:
+        first = out.pred_chain(source, witness, source)
+        second = inn.pred_chain(target, witness, target)
+        second.reverse()
+        return first + second[1:]
+    if code == _LM_TARGET:
+        path = inn.parent_chain(target, source)
+    else:  # source-in-target-vicinity
+        path = inn.pred_chain(target, source, target)
+    path.reverse()
+    return path
+
+
+def walk_rows(out, inn, arr, method, witness):
+    """:func:`path_of` for every row of a result batch (``None`` for a
+    miss or a disconnected pair)."""
+    return [
+        None if code == _MISS or code == _DISCONNECTED
+        else path_of(out, inn, s, t, code, w)
+        for (s, t), code, w in zip(
+            arr.tolist(), method.tolist(), witness.tolist()
+        )
+    ]
+
+
 # The join/slice-local crossover lives with :class:`FlatIndex` now:
 # every index carries a ``join_max_scan`` calibrated from its measured
 # boundary-size distribution (floored at the re-exported
@@ -375,6 +420,9 @@ class FlatQueryEngine:
         self._native_columns = _native.make_columns_resolver(
             self.out, self.inn, kernel
         )
+        #: The C walker behind ``with_path`` answers of both native
+        #: lanes (``None``: walk in Python through :meth:`_path_of`).
+        self._native_paths = _native.make_paths_resolver(self.out, self.inn)
 
     @property
     def kernels(self) -> str:
@@ -438,12 +486,15 @@ class FlatQueryEngine:
         +1 per landmark-flag check, +1 per table hit, +1 per vicinity
         membership probe, plus one probe per scanned kernel node.
         """
-        if not with_path and self._native_resolve is not None:
-            # The fused C loop covers every pathless outcome; ``None``
-            # means the store looked inconsistent mid-scan — re-run the
-            # numpy steps so the caller gets the usual QueryError.
+        if self._native_resolve is not None:
+            # The fused C loop covers every outcome, and the C walker
+            # its path; ``None`` or a failed walk means the store looked
+            # inconsistent — re-run the numpy steps so the caller gets
+            # the usual QueryError.
             res = self._native_resolve(source, target)
-            if res is not None:
+            if res is not None and (
+                not with_path or res.distance is None or self._walk_one(res)
+            ):
                 return res
         out, inn = self.out, self.inn
         rc = self.result_cls
@@ -505,7 +556,10 @@ class FlatQueryEngine:
         )
         probes += kernel_probes
         if best is not None:
-            path = self._splice(source, target, witness) if with_path else None
+            path = (
+                self._path_of(source, target, _INTERSECTION, witness)
+                if with_path else None
+            )
             return rc(source, target, best, path, "intersection", witness, probes)
         return rc(source, target, None, None, "miss", None, probes)
 
@@ -527,29 +581,38 @@ class FlatQueryEngine:
             return inn, target, out, source
         raise QueryError(f"unknown intersection kernel: {self.kernel!r}")
 
-    def _splice(self, source: int, target: int, witness: int) -> list[int]:
-        """Join the two half-paths at the witness (§3.1's splice)."""
-        first = self.out.pred_chain(source, witness, source)
-        second = self.inn.pred_chain(target, witness, target)
-        second.reverse()
-        return first + second[1:]
-
     def _path_of(self, source: int, target: int, code: int, witness: int):
-        """The path of an answered pair, from its method code."""
-        if code == _IDENTICAL:
-            return [source]
-        if code == _LM_SOURCE:
-            return self.out.parent_chain(source, target)
-        if code == _T_IN_S:
-            return self.out.pred_chain(source, target, source)
-        if code == _INTERSECTION:
-            return self._splice(source, target, witness)
-        if code == _LM_TARGET:
-            path = self.inn.parent_chain(target, source)
-        else:  # source-in-target-vicinity
-            path = self.inn.pred_chain(target, source, target)
-        path.reverse()
-        return path
+        """The path of an answered pair, from its method code — the
+        numpy tier's walk and the parity reference of the C walker
+        (§3.1's splice at the witness for intersections)."""
+        return path_of(self.out, self.inn, source, target, code, witness)
+
+    def _walk_one(self, res) -> bool:
+        """Fill an answered native result's path through the C walker;
+        ``False`` on a broken chain or without a walker."""
+        if self._native_paths is None:
+            return False
+        walked = self._native_paths(
+            np.array([[res.source, res.target]], dtype=np.int64),
+            np.array([METHOD_CODE[res.method]], dtype=np.uint8),
+            np.array(
+                [-1 if res.witness is None else res.witness], dtype=np.int64
+            ),
+        )
+        if walked is None:
+            return False
+        res.path = walked[1].tolist()
+        return True
+
+    def _walk_paths(self, arr, method, witness):
+        """Per-row paths of a native result batch: the C walker, or the
+        Python walk without one, or when it meets a broken chain (which
+        then raises)."""
+        if self._native_paths is not None:
+            walked = self._native_paths(arr, method, witness)
+            if walked is not None:
+                return _split_paths(*walked)
+        return walk_rows(self.out, self.inn, arr, method, witness)
 
     def _distance(self, value) -> object:
         return int(value) if self._integral else float(value)
@@ -562,9 +625,10 @@ class FlatQueryEngine:
 
         On the native tier the distinct pairs run as one C call writing
         result columns, which become the bundle's lists with one
-        ``tolist()`` each; ``with_path`` then walks each answered pair's
-        chains from its method and witness.  The numpy tier runs the
-        lanes of :meth:`resolve_many`.
+        ``tolist()`` each; ``with_path`` adds the C walker's two calls
+        (path lengths, then nodes into one flat buffer), sliced into
+        ``Answers.paths`` by its offsets.  The numpy tier runs the lanes
+        of :meth:`resolve_many`.
         """
         m = arr.shape[0]
         if m == 0:
@@ -585,19 +649,12 @@ class FlatQueryEngine:
             )
             # False: an inconsistent store — the numpy lanes raise.
             if self._native_columns(arr, dist, method, witness, probes):
-                answers = Answers.from_columns(
-                    arr, dist, method, witness, probes, self._integral
+                paths = (
+                    self._walk_paths(arr, method, witness) if with_path else None
                 )
-                if with_path:
-                    path_of = self._path_of
-                    answers.paths = [
-                        None if d is None else path_of(s, t, code, w)
-                        for s, t, d, code, w in zip(
-                            answers.s, answers.t, answers.dist,
-                            answers.method, answers.witness,
-                        )
-                    ]
-                return answers
+                return Answers.from_columns(
+                    arr, dist, method, witness, probes, self._integral, paths
+                )
         return Answers.from_results(self.resolve_many(arr, with_path))
 
     def resolve_many(self, arr: np.ndarray, with_path: bool) -> list[QueryResult]:
@@ -761,7 +818,9 @@ class FlatQueryEngine:
                     if w < 0:
                         results[i] = rc(s, t, None, None, "miss", None, probes)
                         continue
-                    path = self._splice(s, t, w) if with_path else None
+                    path = (
+                        self._path_of(s, t, _INTERSECTION, w) if with_path else None
+                    )
                     results[i] = rc(
                         s, t, self._distance(best[k]), path, "intersection", w, probes
                     )
@@ -785,7 +844,9 @@ class FlatQueryEngine:
                 if best is None:
                     results[i] = rc(s, t, None, None, "miss", None, probes)
                     continue
-                path = self._splice(s, t, w) if with_path else None
+                path = (
+                    self._path_of(s, t, _INTERSECTION, w) if with_path else None
+                )
                 results[i] = rc(
                     s, t, best, path, "intersection", w, probes
                 )
@@ -935,22 +996,22 @@ class ShardQueryEngine:
         """Answer a home-shard sub-batch; returns ``(results, local,
         remote, trips)``.
 
-        The plain lane (no path reconstruction, no worker cache) runs
-        the column-native fused lanes of :meth:`answer_columns` — the
-        §5 scheme always scans the source boundary, which is exactly
-        the ``boundary-source`` kernel — and derives the modelled
-        round-trip payloads from the result columns afterwards, so the
-        worker costs what the single-machine batch path costs.  Path
-        queries and cache-backed workers take the per-pair loop, whose
-        chain lengths and cache hits are inherently per pair; both
-        lanes produce identical results and wire totals.
+        Without a worker cache the batch runs the column-native fused
+        lanes of :meth:`answer_columns` — the §5 scheme always scans the
+        source boundary, which is exactly the ``boundary-source`` kernel
+        — with paths from the C walker, and derives the modelled
+        round-trip payloads from the result and path columns afterwards,
+        so the worker costs what the single-machine batch path costs.
+        Cache-backed workers take the per-pair loop, whose cache hits
+        are inherently per pair; both lanes produce identical results
+        and wire trips.
         """
-        if with_path or cache is not None:
+        if cache is not None:
             return self._answer_loop(pairs, with_path, cache)
-        return self._answer_fused(pairs)
+        return self._answer_fused(pairs, with_path)
 
-    def _answer_fused(self, pairs):
-        """The vectorised no-path lane, as objects for direct callers.
+    def _answer_fused(self, pairs, with_path: bool):
+        """The vectorised lane, as objects for direct callers.
 
         Runs :meth:`answer_columns` and materialises the columns with
         the wire decoder's exact typing rules, so a direct
@@ -960,35 +1021,60 @@ class ShardQueryEngine:
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if arr.shape[0] == 0:
             return [], 0, 0, []
-        dist, method, witness, probes, local, remote, trips = (
-            self.answer_columns(arr)
+        dist, method, witness, probes, local, remote, trips, paths = (
+            self.answer_columns(arr, with_path)
         )
         answers = Answers.from_columns(
-            arr, dist, method, witness, probes, self.flat._integral
+            arr, dist, method, witness, probes, self.flat._integral,
+            None if paths is None else _split_paths(*paths),
         )
         return answers.results(), local, remote, trips.tolist()
 
     # ------------------------------------------------------------------
     # the column-native lane (what the wire frames carry)
     # ------------------------------------------------------------------
-    def answer_columns(self, pairs):
-        """Answer a no-path sub-batch straight into frame columns.
+    def answer_columns(self, pairs, with_path: bool = False):
+        """Answer a sub-batch straight into frame columns.
 
         Returns ``(dist, method, witness, probes, local, remote,
-        trips)``: float64 distances (NaN = unanswered), uint8 wire
-        method codes, int64 witnesses (``-1`` = none) and probe counts,
-        the local/remote split, and the modelled §5 round-trip payload
-        bytes (one int64 entry per cross-shard trip).  This is the
+        trips, paths)``: float64 distances (NaN = unanswered), uint8
+        wire method codes, int64 witnesses (``-1`` = none) and probe
+        counts, the local/remote split, the modelled §5 round-trip
+        payload bytes (one int64 entry per cross-shard trip, in the
+        per-pair loop's source-sorted order), and — ``None`` unless
+        ``with_path`` — the ``(offsets, nodes)`` path columns of
+        :meth:`NativeKernels.query_paths
+        <repro.core._native.NativeKernels.query_paths>`.  This is the
         worker hot path: no ``QueryResult`` is ever constructed, the
         columns drop into :meth:`ResponseFrame.from_columns` as-is.
         """
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         dist, method, witness, probes = self._resolve_columns(arr)
+        paths = self._path_columns(arr, method, witness) if with_path else None
         same = self.assign[arr[:, 0]] == self.assign[arr[:, 1]]
         local = int(np.count_nonzero(same))
         remote = arr.shape[0] - local
-        trips = self._trips_from_columns(arr, method, probes, same)
-        return dist, method, witness, probes, local, remote, trips
+        trips = self._trips_from_columns(arr, method, witness, probes, same, paths)
+        return dist, method, witness, probes, local, remote, trips, paths
+
+    def _path_columns(self, arr, method, witness):
+        """``(offsets, nodes)`` of every row's path: the C walker, or
+        the Python walk (numpy tier, or a broken chain — which raises)."""
+        flat = self.flat
+        native = flat._native_tier()
+        if native is not None and native.walks:
+            walked = native.query_paths(native, arr, method, witness)
+            if walked is not None:
+                return walked
+        paths = walk_rows(flat, flat, arr, method, witness)
+        lengths = [0 if p is None else len(p) for p in paths]
+        offsets = np.zeros(len(paths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        nodes = np.fromiter(
+            (u for p in paths if p is not None for u in p),
+            dtype=np.int64, count=int(offsets[-1]),
+        )
+        return offsets, nodes
 
     def _resolve_columns(self, arr):
         """Algorithm 1 over columns — the §5 worker always probes
@@ -1147,11 +1233,17 @@ class ShardQueryEngine:
             method[i] = _INTERSECTION
             witness[i] = w
 
-    def _trips_from_columns(self, arr, method, probes, same):
+    def _trips_from_columns(self, arr, method, witness, probes, same, paths):
         """The modelled cross-shard payloads, from the result columns:
         an intersection/miss ships the source's boundary list, a
         condition-(4) hit or a non-replicated target-table answer
-        (including its disconnected twin, probes == 3) one entry."""
+        (including its disconnected twin, probes == 3) one entry.  With
+        ``paths`` (the ``(offsets, nodes)`` path columns, not ``None``)
+        the chain the target's shard holds rides along, exactly as in
+        :meth:`answer`: a condition-(4) or target-table path in full,
+        and the target-side half of an intersection path —
+        ``path_len - index(witness)`` nodes.  Trips come in the
+        per-pair loop's order: pairs sorted by source, stably."""
         remote_mask = ~same
         if not remote_mask.any():
             return _EMPTY_I64
@@ -1167,7 +1259,20 @@ class ShardQueryEngine:
             * BYTES_PER_WIRE_ENTRY
         )
         per[single] = BYTES_PER_WIRE_ENTRY
-        return per[remote_mask & (scan | single)]
+        if paths is not None:
+            offsets, nodes = paths
+            lengths = np.diff(offsets)
+            chained = single & (lengths > 0)
+            per[chained] = lengths[chained] * BYTES_PER_WIRE_ENTRY
+            # Witnesses are -1 off the intersection rows, and a spliced
+            # path holds its witness exactly once.
+            row_of = np.repeat(np.arange(arr.shape[0]), lengths)
+            at = np.flatnonzero(nodes == np.repeat(witness, lengths))
+            rows = row_of[at]
+            per[rows] += (offsets[rows + 1] - at) * BYTES_PER_WIRE_ENTRY
+        rows = np.flatnonzero(remote_mask & (scan | single))
+        rows = rows[np.argsort(arr[rows, 0], kind="stable")]
+        return per[rows]
 
     def _answer_loop(self, pairs, with_path: bool, cache):
         """The per-pair lane: path chains and worker-cache semantics.
@@ -1211,24 +1316,27 @@ class ShardQueryEngine:
         """Answer one wire-frame sub-batch; returns a ``ResponseFrame``.
 
         The frame entry point every shard transport shares: decode the
-        pair array, run :meth:`answer_batch`, encode the result columns
-        once.  Errors come back as error frames so transports never
-        have to serialise exceptions themselves.
+        pair array, answer it through :meth:`answer_columns` (paths from
+        the C walker included) — or, with a worker ``cache``, through
+        the per-pair loop of :meth:`answer_batch` — and encode the
+        result columns once.  Errors come back as error frames so
+        transports never have to serialise exceptions themselves.
         """
         wire = _wire()
         try:
             start = time.perf_counter_ns()
-            if cache is None and not req.with_path:
+            if cache is None:
                 # Column-native hot path: the pair array goes straight
-                # through the fused lanes into frame columns — no
-                # QueryResult, no per-pair Python on the worker.
-                dist, method, witness, probes, local, remote, trips = (
-                    self.answer_columns(req.pairs)
+                # through the fused lanes (and the path walker) into
+                # frame columns — no QueryResult, no per-pair Python on
+                # the worker.
+                dist, method, witness, probes, local, remote, trips, paths = (
+                    self.answer_columns(req.pairs, req.with_path)
                 )
                 return wire.ResponseFrame.from_columns(
                     req.seq, dist=dist, method=method, witness=witness,
                     probes=probes, local=local, remote=remote, trips=trips,
-                    exec_ns=time.perf_counter_ns() - start,
+                    paths=paths, exec_ns=time.perf_counter_ns() - start,
                 )
             results, local, remote, trips = self.answer_batch(
                 req.pair_list(), req.with_path, cache=cache

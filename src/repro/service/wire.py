@@ -258,10 +258,20 @@ class ResponseFrame:
         local: int,
         remote: int,
         trips,
+        paths=None,
         exec_ns: int = 0,
     ) -> "ResponseFrame":
         """Wrap ready-made result columns (the shard worker's
-        column-native no-path lane) — no result objects ever exist."""
+        column-native lane) — no result objects ever exist.  ``paths``
+        is ``None`` or the walker's ``(offsets, nodes)`` columns; a row
+        without a path gets ``path_len`` -1."""
+        if paths is None:
+            path_len = np.full(dist.shape[0], -1, dtype=np.int64)
+            path_nodes = _EMPTY_I8
+        else:
+            offsets, path_nodes = paths
+            path_len = np.diff(offsets)
+            path_len[path_len == 0] = -1
         return cls(
             seq,
             local=local,
@@ -271,8 +281,8 @@ class ResponseFrame:
             method=method,
             witness=witness,
             probes=probes,
-            path_len=np.full(dist.shape[0], -1, dtype=np.int64),
-            path_nodes=_EMPTY_I8,
+            path_len=path_len,
+            path_nodes=path_nodes,
             trips=np.ascontiguousarray(trips, dtype=np.int64),
         )
 

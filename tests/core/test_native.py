@@ -64,6 +64,31 @@ def assert_results_identical(got, want, context=None):
         assert fields(a) == fields(b), context
 
 
+def assert_walker_matches_reference(native_eng, numpy_eng, pairs):
+    """The C walker's paths, called directly on the native columns,
+    against the numpy tier's ``_path_of`` row by row; returns the set of
+    method codes the rows covered."""
+    walk = native_eng._native_paths
+    assert walk is not None
+    arr = np.asarray(pairs, dtype=np.int64)
+    answers = native_eng.query_columns(pairs)
+    method = np.asarray(answers.method, dtype=np.uint8)
+    witness = np.asarray(answers.witness, dtype=np.int64)
+    walked = walk(arr, method, witness)
+    assert walked is not None
+    offsets, nodes = walked
+    assert offsets[0] == 0 and offsets[-1] == nodes.size
+    no_path = (METHODS.index("miss"), METHODS.index("disconnected"))
+    for i, (s, t) in enumerate(pairs):
+        code, w = int(method[i]), int(witness[i])
+        got = nodes[offsets[i]:offsets[i + 1]].tolist()
+        if code in no_path:
+            assert got == [], (s, t)
+        else:
+            assert got == numpy_eng._path_of(s, t, code, w), (s, t, code)
+    return set(method.tolist())
+
+
 @pytest.fixture(
     scope="module", params=[False, True], ids=["unweighted", "weighted"]
 )
@@ -230,6 +255,30 @@ class TestLayoutGating:
         with pytest.raises(KernelError, match="unavailable"):
             fresh.set_kernels("native")
 
+    def test_unwalkable_predecessors_walk_in_python(self, built):
+        flat = FlatIndex.from_index(built)
+        arrays = dict(flat.arrays)
+        arrays["vic_preds"] = arrays["vic_preds"].astype(np.int16)
+        odd = FlatIndex(
+            arrays, n=built.n, weighted=built.graph.is_weighted,
+            store_paths=True,
+        )
+        assert _native.view_mismatch(odd) is None
+        assert "dtype" in _native.walk_mismatch(odd)
+        native_eng = FlatQueryEngine(odd, kernels="native")
+        assert native_eng._native_columns is not None
+        assert native_eng._native_paths is None
+        pairs = _batch_pairs(flat, 200, seed=13)
+        want = FlatQueryEngine(flat, kernels="numpy").query_batch(
+            pairs, with_path=True
+        )
+        assert_results_identical(
+            native_eng.query_batch(pairs, with_path=True), want
+        )
+        assert_results_identical(
+            [native_eng.query(s, t, with_path=True) for s, t in pairs], want
+        )
+
 
 @needs_native
 class TestScalarParity:
@@ -251,9 +300,10 @@ class TestScalarParity:
             want = numpy_eng.resolve(s, t, False)
             assert fields(got) == fields(want), (kernel, s, t)
 
-    def test_with_path_uses_numpy_and_matches(self, built):
+    def test_with_path_walks_natively_and_matches(self, built):
         numpy_eng = FlatQueryEngine.from_index(built, kernels="numpy")
         native_eng = FlatQueryEngine.from_index(built, kernels="native")
+        assert native_eng._native_paths is not None
         for s, t in _pairs(built.n, 200, seed=10):
             got = native_eng.resolve(s, t, True)
             want = numpy_eng.resolve(s, t, True)
@@ -275,6 +325,7 @@ class TestScalarParity:
             built, kernel=kernel, kernels="native"
         )
         assert native_eng._native_columns is not None
+        assert native_eng._native_paths is not None
         got = native_eng.query_batch(pairs, with_path=with_path)
         assert len(got) == len(want) == len(pairs)
         assert_results_identical(got, want, kernel)
@@ -296,6 +347,85 @@ class TestScalarParity:
 
 
 @needs_native
+class TestPathWalkerParity:
+    """The C path walker against the numpy tier's ``_path_of``."""
+
+    #: identical, landmark-source/target, t-in-s, s-in-t, intersection
+    WALKED = {METHODS.index(name) for name in METHODS[:6]}
+
+    def test_every_method_code_undirected(self, built):
+        flat = FlatIndex.from_index(built)
+        native_eng = FlatQueryEngine.from_index(built, kernels="native")
+        numpy_eng = FlatQueryEngine.from_index(built, kernels="numpy")
+        assert native_eng.out is native_eng.inn
+        codes = assert_walker_matches_reference(
+            native_eng, numpy_eng, _batch_pairs(flat, 500, seed=14)
+        )
+        assert self.WALKED <= codes
+
+    def test_every_method_code_directed(self):
+        from repro.core.directed import DirectedVicinityOracle
+        from repro.graph.builder import digraph_from_arrays
+
+        rng = np.random.default_rng(61)
+        graph = digraph_from_arrays(
+            rng.integers(0, 260, 1600), rng.integers(0, 260, 1600), n=260
+        )
+        engine = DirectedVicinityOracle.build(graph, alpha=4.0, seed=3).engine
+        assert engine.out is not engine.inn
+        native_eng = FlatQueryEngine(
+            engine.out, engine.inn, kernel=engine.kernel, kernels="native"
+        )
+        pairs = _pairs(graph.n, 600, seed=15)
+        s0, t0 = pairs[0]
+        for lm in engine.out.landmark_ids[:4].tolist():
+            pairs += [(lm, t0), (s0, lm), (lm, lm)]
+        # The native engine is bound before this one flips the shared
+        # sides to the numpy tier.
+        numpy_eng = FlatQueryEngine(
+            engine.out, engine.inn, kernel=engine.kernel, kernels="numpy"
+        )
+        want = [fields(r) for r in numpy_eng.query_batch(pairs, with_path=True)]
+        codes = assert_walker_matches_reference(native_eng, numpy_eng, pairs)
+        assert self.WALKED <= codes
+        got = [fields(r) for r in native_eng.query_batch(pairs, with_path=True)]
+        assert got == want
+        for s, t in pairs[:150]:
+            assert fields(native_eng.resolve(s, t, True)) == fields(
+                numpy_eng.resolve(s, t, True)
+            ), (s, t)
+
+    @pytest.mark.parametrize("replicate", [False, True], ids=["remote", "replicated"])
+    @pytest.mark.parametrize("tier", ["native", "numpy"])
+    def test_shard_path_frames_match_the_per_pair_loop(self, built, tier, replicate):
+        """``with_path`` frames from the column lane are byte-identical
+        — path columns and §5 trips included — to frames encoded from
+        the per-pair ``_answer_loop`` the cache lane still runs."""
+        from repro.service.wire import ResponseFrame
+
+        flat = TestFusedBatchLane._tiered(FlatIndex.from_index(built), tier)
+        pairs = np.asarray(_batch_pairs(flat, 300, seed=45), dtype=np.int64)
+        for shards in (2, 3):
+            engine = ShardQueryEngine(
+                flat, shard_assignment(built.n, shards, "hash"), replicate,
+                reuse_scratch=True,
+            )
+            for chunk in (pairs[:1], pairs[:37], pairs, pairs[5:9]):
+                got = engine.run_frame(RequestFrame(7, chunk, True))
+                results, local, remote, trips = engine._answer_loop(
+                    chunk.tolist(), True, None
+                )
+                want = ResponseFrame.from_results(
+                    7, results, local, remote, trips,
+                    exec_ns=got.exec_ns,
+                )
+                assert got.ok, got.error
+                assert got.to_bytes() == want.to_bytes()
+            full = engine.run_frame(RequestFrame(8, pairs, True))
+            assert full.trips.size and full.path_nodes.size
+
+
+@needs_native
 class TestDtypeGridParity:
     """Every compact distance/id width through the same C entry points."""
 
@@ -311,6 +441,11 @@ class TestDtypeGridParity:
                 flat, kernel=kernel, kernels="native"
             ).query_batch(pairs, with_path=with_path)
             assert_results_identical(got, want, with_path)
+        assert_walker_matches_reference(
+            FlatQueryEngine(flat, kernel=kernel, kernels="native"),
+            FlatQueryEngine(flat, kernel=kernel, kernels="numpy"),
+            pairs,
+        )
         for s, t in pairs[:100]:
             a = FlatQueryEngine(flat, kernel=kernel, kernels="native").resolve(
                 s, t, False
@@ -353,16 +488,31 @@ class TestDtypeGridParity:
         self._check(index)
 
     def test_int64_legacy_ids(self, built):
-        flat = FlatIndex.from_store_arrays(
-            widen_store(flatten_index(built)),
+        # The wide layout as is (from_store_arrays would compact it):
+        # int64 ids, offsets and predecessors, int32 table parents.
+        flat = FlatIndex(
+            widen_store(FlatIndex.from_index(built).arrays),
             n=built.n,
             weighted=built.graph.is_weighted,
+            store_paths=True,
         )
+        assert flat.vic_nodes.dtype == flat.vic_preds.dtype == np.int64
+        assert flat.table_parent.dtype == np.int32
         pairs = _batch_pairs(flat, 400, seed=22)
         kernel = built.config.kernel
-        want = FlatQueryEngine(flat, kernel=kernel, kernels="numpy").query_batch(pairs)
-        got = FlatQueryEngine(flat, kernel=kernel, kernels="native").query_batch(pairs)
-        assert_results_identical(got, want)
+        for with_path in (False, True):
+            want = FlatQueryEngine(flat, kernel=kernel, kernels="numpy").query_batch(
+                pairs, with_path=with_path
+            )
+            got = FlatQueryEngine(flat, kernel=kernel, kernels="native").query_batch(
+                pairs, with_path=with_path
+            )
+            assert_results_identical(got, want, with_path)
+        assert_walker_matches_reference(
+            FlatQueryEngine(flat, kernel=kernel, kernels="native"),
+            FlatQueryEngine(flat, kernel=kernel, kernels="numpy"),
+            pairs,
+        )
 
     @staticmethod
     def _weighted_index(weights_of):
@@ -396,10 +546,18 @@ class TestSavedStoreParity:
         want = FlatQueryEngine(
             load_flat_index(path, mmap=mmap), kernel=kernel, kernels="numpy"
         ).query_batch(pairs, with_path=True)
-        got = FlatQueryEngine(
+        native_eng = FlatQueryEngine(
             load_flat_index(path, mmap=mmap), kernel=kernel, kernels="native"
-        ).query_batch(pairs, with_path=True)
+        )
+        got = native_eng.query_batch(pairs, with_path=True)
         assert_results_identical(got, want)
+        assert_walker_matches_reference(
+            native_eng,
+            FlatQueryEngine(
+                load_flat_index(path, mmap=mmap), kernel=kernel, kernels="numpy"
+            ),
+            _batch_pairs(native_eng.out, 300, seed=32),
+        )
 
 
 @needs_native
@@ -601,6 +759,87 @@ class TestFusedBatchLane:
         )
         with pytest.raises(QueryError, match="not in the stored table"):
             shard.answer_columns(np.asarray([pair], dtype=np.int64))
+
+        # Broken path chains: distances still answer, every pathed entry
+        # point raises the numpy tier's QueryError.
+        for corrupt in (
+            self._pred_out_of_range, self._pred_cycle, self._parent_broken,
+        ):
+            arrays = {name: arr.copy() for name, arr in flat.arrays.items()}
+            pair = corrupt(flat, arrays)
+            self._assert_broken_chain_raises(flat, arrays, pair, tier)
+
+    @staticmethod
+    def _chain_pair(flat):
+        """``(u, v, pos_v, pos_p)``: ``v`` answers ``(u, v)`` through
+        condition (3) and its predecessor ``p`` in Gamma(u) is not ``u``
+        (positions index ``vic_nodes``)."""
+        no_table = flat.landmark_row < 0
+        for u in np.flatnonzero(no_table).tolist():
+            lo, hi = int(flat.vic_offsets[u]), int(flat.vic_offsets[u + 1])
+            nodes = flat.vic_nodes[lo:hi].tolist()
+            members = set(flat.member_nodes[
+                flat.member_offsets[u]:flat.member_offsets[u + 1]
+            ].tolist())
+            for k, v in enumerate(nodes):
+                p = int(flat.vic_preds[lo + k])
+                if v != u and no_table[v] and v in members and p != u:
+                    return u, v, lo + k, lo + nodes.index(p)
+        raise AssertionError("no two-hop chain in any vicinity")
+
+    def _pred_out_of_range(self, flat, arrays):
+        u, v, pos_v, _ = self._chain_pair(flat)
+        arrays["vic_preds"][pos_v] = flat.n
+        return u, v
+
+    def _pred_cycle(self, flat, arrays):
+        u, v, pos_v, pos_p = self._chain_pair(flat)
+        arrays["vic_preds"][pos_p] = v  # v -> p -> v -> ...
+        return u, v
+
+    @staticmethod
+    def _parent_broken(flat, arrays):
+        lm = int(flat.landmark_ids[flat.landmark_row[flat.landmark_ids] >= 0][0])
+        row = arrays["table_parent"][int(flat.landmark_row[lm])]
+        far = next(
+            x for x in range(flat.n)
+            if x != lm and row[x] < flat.n and row[x] != lm
+        )
+        row[far] = flat.n
+        return lm, far
+
+    @staticmethod
+    def _assert_broken_chain_raises(flat, arrays, pair, tier):
+        from repro.exceptions import QueryError
+
+        def broken(tier_name):
+            index = FlatIndex(
+                arrays, n=flat.n, weighted=flat.weighted, store_paths=True
+            )
+            index.set_kernels(tier_name)
+            return index
+
+        with pytest.raises(QueryError) as want:
+            FlatQueryEngine(broken("numpy")).query_batch([pair], with_path=True)
+        message = str(want.value)
+        assert "chain" in message, message
+        engine = FlatQueryEngine(broken(tier))
+        clean = (pair[1], pair[1])
+        assert engine.query_batch([clean, pair])[1].distance is not None
+        with pytest.raises(QueryError) as got:
+            engine.query_batch([clean, pair, clean], with_path=True)
+        assert str(got.value) == message
+        with pytest.raises(QueryError) as got:
+            engine.query(*pair, with_path=True)
+        assert str(got.value) == message
+        shard = ShardQueryEngine(
+            broken(tier), shard_assignment(flat.n, 2, "hash"), False
+        )
+        resp = shard.run_frame(
+            RequestFrame(1, np.asarray([clean, pair, clean]), True)
+        )
+        assert not resp.ok
+        assert resp.error == f"QueryError: {message}"
 
     def test_intersect_payload(self, built):
         flat = FlatIndex.from_index(built)
