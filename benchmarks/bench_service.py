@@ -472,46 +472,6 @@ def _mmap_phase(index, pairs, shards, failures, report) -> None:
         # identically; the ratio is recorded but not asserted.
 
 
-def _cache_race_phase(index, pairs, report, capacities=(16, 64, 256)) -> None:
-    """Race LRU vs 2Q vs TinyLFU admission on the Zipf workload.
-
-    All caches replay the same stream against the same resolved
-    answers; what differs is only admission.  Per-capacity hit rates
-    land in ``BENCH_service.json`` (the ROADMAP cache-tuning
-    evaluation).  The sweep spans capacity regimes deliberately: under
-    hard eviction pressure probation (2Q) and the frequency-sketch gate
-    (TinyLFU) protect the repeated tail from one-hit wonders; with
-    ample capacity the policies converge.
-    """
-    from repro.service.cache import ResultCache
-
-    engine = FlatQueryEngine.from_index(index)
-    keys = list(dict.fromkeys(ResultCache.canonical(s, t) for s, t in pairs))
-    answers = dict(zip(keys, engine.query_batch(keys)))
-    race = {"distinct_pairs": len(keys), "capacities": {}}
-    for capacity in capacities:
-        row = {}
-        for admission in ("lru", "2q", "tinylfu"):
-            cache = ResultCache(capacity, admission=admission)
-            for s, t in pairs:
-                if cache.get(s, t) is None:
-                    cache.put(answers[ResultCache.canonical(s, t)])
-            snap = cache.snapshot()
-            row[admission] = {
-                "hit_rate": snap["hit_rate"],
-                "hits": snap["hits"],
-                "evictions": snap["evictions"],
-                **(
-                    {"promotions": snap["promotions"]}
-                    if "promotions" in snap
-                    else {}
-                ),
-                **({"denied": snap["denied"]} if "denied" in snap else {}),
-            }
-        race["capacities"][str(capacity)] = row
-    report["cache_race"] = race
-
-
 def _split_round_robin(items, parts):
     """Deal ``items`` across ``parts`` clients, preserving per-client order."""
     return [items[i::parts] for i in range(parts)]
@@ -776,7 +736,6 @@ def run_smoke(
             index, pairs, batches, shards, failures, record, extra
         )
         _mmap_phase(index, pairs, shards, failures, extra)
-        _cache_race_phase(index, pairs, extra)
         _net_phase(index, pairs, failures, extra)
     except Exception as exc:
         # A crash (dead worker, QueryError) is when the diagnostics
@@ -809,20 +768,12 @@ def run_smoke(
         )
     mmap_block = extra.get("mmap", {})
     cold = mmap_block.get("cold_start", {})
-    race = extra.get("cache_race", {})
     if mmap_block:
         print(
             f"compact store {mmap_block['size_ratio']:.2f}x smaller than int64; "
             f"mmap cold start {cold.get('speedup', float('nan')):.1f}x over the "
             f"copy path ({cold.get('start_method', '?')} workers)"
         )
-    if race:
-        sweep = ", ".join(
-            f"@{cap}: lru {row['lru']['hit_rate']:.3f} / 2q {row['2q']['hit_rate']:.3f}"
-            f" / tinylfu {row['tinylfu']['hit_rate']:.3f}"
-            for cap, row in race["capacities"].items()
-        )
-        print(f"cache admission race (hit rates) {sweep}")
     net = extra.get("net", {})
     if net:
         print(

@@ -141,7 +141,7 @@ def baseline_history(baseline: Path) -> list[tuple[str, str, dict]]:
 
 def _short(path: str) -> str:
     # Three trailing components keep sibling metrics distinguishable
-    # (capacities.16.2q.hit_rate vs capacities.64.2q.hit_rate).
+    # (baseline.supervisor.restarts vs churn.supervisor.restarts).
     parts = path.split(".")
     return ".".join(parts[-3:]) if len(parts) > 1 else path
 

@@ -453,6 +453,9 @@ class ProcessShardedService(FlatShardedBase):
         if self._faults is not None:
             self._flat_meta["faults"] = self._faults.spec()
         self._worker_cache_stats: dict[int, dict] = {}
+        # Each worker's figures at the last counter reset (see
+        # :meth:`reset_worker_cache_stats`).
+        self._worker_cache_base: dict[int, dict] = {}
         num_workers = num_shards * self.replicas
         if mmap_path is not None:
             # Zero-copy startup: workers map the store file themselves.
@@ -535,6 +538,9 @@ class ProcessShardedService(FlatShardedBase):
     def restart_worker(self, worker: int) -> bool:
         self.kill_worker(worker)
         self._generation[worker] += 1
+        # The new process starts an empty cache with zeroed counters.
+        self._worker_cache_stats.pop(worker, None)
+        self._worker_cache_base.pop(worker, None)
         # Replace in place: the transport's liveness checks read this
         # list by slot, so they track the new process at once.
         self._procs[worker] = self._spawn(worker)
@@ -546,12 +552,22 @@ class ProcessShardedService(FlatShardedBase):
     def _note_worker_cache(self, worker: int, stats: dict) -> None:
         self._worker_cache_stats[worker] = stats
 
+    def reset_worker_cache_stats(self) -> None:
+        """Start a new counter epoch for :meth:`worker_cache_stats`.
+
+        Workers keep counting from their own start; the coordinator
+        records their latest figures here and reports only what
+        accrues after.  The cached entries themselves stay warm.
+        """
+        self._worker_cache_base = dict(self._worker_cache_stats)
+
     def worker_cache_stats(self) -> Optional[dict]:
         """Aggregate worker-cache statistics, or ``None`` when disabled.
 
         Each worker reports its cumulative cache counters in every
-        response frame; this sums the latest per-worker figures so the
-        serving layer can fold them into its telemetry snapshot.
+        response frame; this sums the latest per-worker figures, less
+        those recorded at the last :meth:`reset_worker_cache_stats`, so
+        the serving layer can fold them into its telemetry snapshot.
         """
         if self.worker_cache_size <= 0:
             return None
@@ -565,9 +581,11 @@ class ProcessShardedService(FlatShardedBase):
             "insertions": 0,
             "evictions": 0,
         }
-        for stats in self._worker_cache_stats.values():
-            for key in ("size", "lookups", "hits", "misses", "insertions", "evictions"):
-                totals[key] += stats[key]
+        for worker, stats in self._worker_cache_stats.items():
+            base = self._worker_cache_base.get(worker)
+            totals["size"] += stats["size"]
+            for key in ("lookups", "hits", "misses", "insertions", "evictions"):
+                totals[key] += stats[key] - (base[key] if base else 0)
         totals["hit_rate"] = (
             totals["hits"] / totals["lookups"] if totals["lookups"] else 0.0
         )

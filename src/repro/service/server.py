@@ -287,7 +287,8 @@ class ServiceApp:
         return snap
 
     def reset(self) -> None:
-        """Zero every counter epoch: telemetry, cache, batching, shard log.
+        """Zero every counter epoch: telemetry, cache, batching, shard
+        log and worker-cache counters.
 
         The index itself stays warm; only observability state restarts,
         so a post-reset snapshot describes exactly the traffic since.
@@ -298,6 +299,8 @@ class ServiceApp:
         self.executor.stats = BatchStats()
         if self.sharded is not None:
             self.sharded.log = MessageLog()
+            if hasattr(self.sharded, "reset_worker_cache_stats"):
+                self.sharded.reset_worker_cache_stats()
 
     def close(self) -> None:
         """Release the sharded backend's workers, if any."""

@@ -122,7 +122,7 @@ class TestStaleHit:
         oracle = DynamicVicinityOracle.build(
             graph, config=OracleConfig(alpha=4.0, seed=3, fallback="bidirectional")
         )
-        cache = ResultCache(64, cacheable=EXPENSIVE_METHODS)
+        cache = ResultCache(64)
         executor = BatchExecutor(oracle, cache=cache)
         oracle.attach_cache(cache)
         first = executor.run([(0, 5)])[0]

@@ -337,6 +337,37 @@ class TestWorkerCache:
         # expensive cached tail.
         assert bytes_delta < bytes_after_first
 
+    def test_reset_zeroes_worker_cache_counters(self, index, pairs):
+        """``ServiceApp.reset`` starts a new worker-cache counter epoch:
+        the snapshot after it counts only the traffic since."""
+        from repro.service import ServiceApp
+
+        counters = ("lookups", "hits", "misses", "insertions", "evictions")
+        app = ServiceApp.from_index(
+            index, cache_size=0, shards=2, backend="procpool",
+            worker_cache_size=64,
+        )
+        try:
+            app.executor.run(pairs[:200])
+            first = app.snapshot()["worker_cache"]
+            app.executor.run(pairs[:200])
+            app.reset()
+            after_reset = app.snapshot()["worker_cache"]
+            assert all(after_reset[key] == 0 for key in counters)
+            assert after_reset["size"] > 0  # entries stay warm
+            app.executor.run(pairs[:200])
+            assert app.snapshot()["worker_cache"]["lookups"] == first["lookups"]
+            # A restarted worker counts from zero again, below the
+            # figures recorded for its predecessor at the reset; the
+            # run after the restart must still count in full.
+            app.sharded.restart_worker(0)
+            app.executor.run(pairs[:200])
+            restarted = app.snapshot()["worker_cache"]
+            assert restarted["lookups"] >= first["lookups"]
+            assert all(restarted[key] >= 0 for key in counters)
+        finally:
+            app.close()
+
     def test_stats_disabled_without_cache(self, procpool):
         assert procpool.worker_cache_stats() is None
 
